@@ -19,8 +19,8 @@ import scipy.integrate
 
 from .solver import (
     _margin_field_from_lam,
-    _sym_eig,
     cone_margin_field,
+    form_eigenvalues,
     potential_hessian,
 )
 
@@ -483,7 +483,7 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
                     np.fft.fftn(omega[..., i, j]) * w_hat
                 ).real
         smooth = 0.5 * (smooth + np.swapaxes(smooth, -1, -2))
-        lam = _sym_eig(geom, smooth)
+        lam = form_eigenvalues(geom, smooth)
         for s in scalings:
             if lam[..., 0].min() <= 0.0:
                 min_margin = -math.inf

@@ -22,6 +22,7 @@ bordered with the mean-zero constraint on phi.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -45,6 +46,7 @@ __all__ = [
     "hessian_field",
     "potential_hessian",
     "eigenvalue_field",
+    "form_eigenvalues",
     "residual",
     "ConeMarginReport",
     "cone_margin_field",
@@ -117,8 +119,82 @@ class TorusGeometry:
         return np.meshgrid(*self.axes(), indexing="ij")
 
     def chol_inv(self):
-        L = np.linalg.cholesky(self.chi)
-        return np.linalg.inv(L)
+        """L^{-1} for chi = L L^T (cached, read-only)."""
+        return self._chol_inv
+
+    # Per-geometry constants, computed on first use.  cached_property
+    # stores into the instance __dict__, which the frozen dataclass allows.
+
+    @functools.cached_property
+    def _chol_inv(self):
+        Linv = np.linalg.inv(np.linalg.cholesky(self.chi))
+        Linv.setflags(write=False)
+        return Linv
+
+    @functools.cached_property
+    def _reduced_omega0(self):
+        """M0 = L^{-1} omega0 L^{-T}, the reduced background."""
+        Linv = self._chol_inv
+        M0 = Linv @ self.omega0 @ Linv.T
+        return 0.5 * (M0 + M0.T)
+
+    @functools.cached_property
+    def _fold(self):
+        """(p, p) map from stacked Hessian components to L^{-1} H L^{-T} ones.
+
+        Row (i, j) and column (a, b) run over the upper-triangle pairs; an
+        off-diagonal column carries both H_ab and H_ba.
+        """
+        Linv = self._chol_inv
+        pairs = _pairs(self.n)
+        fold = np.empty((len(pairs), len(pairs)))
+        for r, (i, j) in enumerate(pairs):
+            for c, (a, b) in enumerate(pairs):
+                fold[r, c] = Linv[i, a] * Linv[j, b]
+                if a != b:
+                    fold[r, c] += Linv[i, b] * Linv[j, a]
+        return fold
+
+    @functools.cached_property
+    def _wavenumbers(self):
+        """Integer wavenumbers of the rfftn half spectrum, one array per axis,
+        shaped to broadcast against it.
+
+        The halved last axis keeps fftfreq's signs, so its Nyquist entry is
+        -N/2 like the full axes'; a product of two Nyquist wavenumbers then
+        has the sign the full complex spectrum gives it.
+        """
+        out = []
+        for a, s in enumerate(self.grid_shape):
+            k = np.fft.fftfreq(s, d=1.0 / s)
+            if a == self.n - 1:
+                k = k[: s // 2 + 1]
+            out.append(k.reshape([-1 if b == a else 1 for b in range(self.n)]))
+        return tuple(out)
+
+    @functools.cached_property
+    def _quarter_symbols(self):
+        """Half-spectrum symbols -pi^2 k_a k_b of (1/4) d_a d_b, stacked over pairs a <= b.
+
+        A mixed symbol is zeroed where exactly one of its two axes sits at
+        Nyquist: there k_a k_b is odd under k -> -k, so it contributes
+        nothing to the real part of the full complex inverse transform.
+        """
+        k = self._wavenumbers
+        nyquist = [np.abs(ka) == s // 2 for ka, s in zip(k, self.grid_shape)]
+        symbols = []
+        for a, b in _pairs(self.n):
+            sym = -(np.pi**2) * k[a] * k[b]
+            if a != b:
+                sym = np.where(nyquist[a] ^ nyquist[b], 0.0, sym)
+            symbols.append(sym)
+        return np.stack(np.broadcast_arrays(*symbols))
+
+    @functools.cached_property
+    def _reduced_symbols(self):
+        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T}, stacked over pairs."""
+        q = self._quarter_symbols
+        return (self._fold @ q.reshape(len(q), -1)).reshape(q.shape)
 
 
 def _canonical(values, shape=None):
@@ -174,46 +250,73 @@ def trig_polynomial(grid_shape, constant=0.0, terms=()):
 # differentiation
 # ---------------------------------------------------------------------------
 
-def _freqs(shape):
-    return [np.fft.fftfreq(s, d=1.0 / s) for s in shape]
+def _pairs(n):
+    """Upper-triangle index pairs (a, b), a <= b, in stacking order."""
+    return [(a, b) for a in range(n) for b in range(a, n)]
 
 
-def potential_hessian(geom, phi, scheme="spectral"):
-    """Second derivative field of the potential, shape grid + (n, n)."""
-    values = _values_of(phi, geom)
-    n = geom.n
-    shape = geom.grid_shape
-    H = np.zeros(shape + (n, n))
+def _assemble(comps, base=None):
+    """Symmetric field grid + (n, n) from stacked upper-triangle components."""
+    n = math.isqrt(2 * len(comps))  # len(comps) = n (n + 1) / 2
+    out = np.empty(comps.shape[1:] + (n, n))
+    for p, (a, b) in enumerate(_pairs(n)):
+        if base is None:
+            out[..., a, b] = comps[p]
+        else:
+            np.add(comps[p], base[a, b], out=out[..., a, b])
+        out[..., b, a] = out[..., a, b]
+    return out
+
+
+def _filter(geom, values, symbols):
+    """irfftn(symbol * rfftn(values)) for each stacked half-spectrum symbol."""
+    return np.fft.irfftn(
+        symbols * np.fft.rfftn(values), s=geom.grid_shape, axes=range(1, geom.n + 1)
+    )
+
+
+def _quarter_hessian(geom, values, scheme):
+    """Stacked components (1/4) d_a d_b of a grid field, a <= b; shape (p,) + grid."""
     if scheme == "spectral":
-        phat = np.fft.fftn(values)
-        kk = np.meshgrid(*_freqs(shape), indexing="ij")
-        for a in range(n):
-            for b in range(a, n):
-                mult = -((2.0 * np.pi) ** 2) * kk[a] * kk[b]
-                dd = np.fft.ifftn(mult * phat).real
-                H[..., a, b] = dd
-                H[..., b, a] = dd
-    elif scheme == "fd":
-        # centered second-order stencils
-        for a in range(n):
+        return _filter(geom, values, geom._quarter_symbols)
+    if scheme != "fd":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    # centered second-order stencils
+    shape = geom.grid_shape
+    comps = np.empty((len(_pairs(geom.n)),) + shape)
+    for p, (a, b) in enumerate(_pairs(geom.n)):
+        if a == b:
             h = 1.0 / shape[a]
             dd = (
                 np.roll(values, -1, axis=a) - 2.0 * values + np.roll(values, 1, axis=a)
             ) / h**2
-            H[..., a, a] = dd
-        for a in range(n):
-            for b in range(a + 1, n):
-                ha, hb = 1.0 / shape[a], 1.0 / shape[b]
-                pp = np.roll(np.roll(values, -1, axis=a), -1, axis=b)
-                pm = np.roll(np.roll(values, -1, axis=a), 1, axis=b)
-                mp = np.roll(np.roll(values, 1, axis=a), -1, axis=b)
-                mm = np.roll(np.roll(values, 1, axis=a), 1, axis=b)
-                dd = (pp - pm - mp + mm) / (4.0 * ha * hb)
-                H[..., a, b] = dd
-                H[..., b, a] = dd
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return H
+        else:
+            ha, hb = 1.0 / shape[a], 1.0 / shape[b]
+            pp = np.roll(np.roll(values, -1, axis=a), -1, axis=b)
+            pm = np.roll(np.roll(values, -1, axis=a), 1, axis=b)
+            mp = np.roll(np.roll(values, 1, axis=a), -1, axis=b)
+            mm = np.roll(np.roll(values, 1, axis=a), 1, axis=b)
+            dd = (pp - pm - mp + mm) / (4.0 * ha * hb)
+        comps[p] = 0.25 * dd
+    return comps
+
+
+def _reduced_hessian(geom, values, scheme):
+    """Stacked components of L^{-1} (1/4) Hess(values) L^{-T}, chi = L L^T."""
+    if scheme == "spectral":
+        return _filter(geom, values, geom._reduced_symbols)
+    comps = _quarter_hessian(geom, values, scheme)
+    return (geom._fold @ comps.reshape(len(comps), -1)).reshape(comps.shape)
+
+
+def _reduced_field(geom, values, scheme):
+    """M = L^{-1} Omega_phi L^{-T}, whose eigenvalues are those of chi^{-1} Omega_phi."""
+    return _assemble(_reduced_hessian(geom, values, scheme), geom._reduced_omega0)
+
+
+def potential_hessian(geom, phi, scheme="spectral"):
+    """Second derivative field of the potential, shape grid + (n, n)."""
+    return 4.0 * _assemble(_quarter_hessian(geom, _values_of(phi, geom), scheme))
 
 
 def hessian_field(geom, phi, scheme="spectral"):
@@ -224,23 +327,40 @@ def hessian_field(geom, phi, scheme="spectral"):
     return np.einsum("ij,...jk->...ik", chi_inv, omega)
 
 
-def _omega_field(geom, phi, scheme):
-    return geom.omega0 + 0.25 * potential_hessian(geom, phi, scheme)
+def _eigvals(M):
+    """Ascending eigenvalues of a symmetric field grid + (n, n).
 
-
-def _sym_eig(geom, omega, vectors=False):
-    """Eigen-data of chi^{-1} omega via the symmetric reduction L^{-1} omega L^{-T}."""
-    Linv = geom.chol_inv()
-    M = np.einsum("ij,...jk,lk->...il", Linv, omega, Linv)
-    M = 0.5 * (M + np.swapaxes(M, -1, -2))
-    if vectors:
-        return np.linalg.eigh(M)
+    For n = 2 the closed form takes lam_max = mean + radius, which has no
+    cancellation, and lam_min = det / lam_max, which keeps relative
+    accuracy for nearly diagonal matrices; lam_max <= 0 (never on the
+    cone) falls back to mean - radius.
+    """
+    n = M.shape[-1]
+    if n == 1:
+        return M[..., 0].copy()
+    if n == 2:
+        a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 1, 1]
+        mean = 0.5 * (a + c)
+        radius = np.hypot(0.5 * (a - c), b)
+        lam_max = mean + radius
+        lam_min = np.divide(a * c - b * b, lam_max, out=mean - radius, where=lam_max > 0.0)
+        return np.stack([lam_min, lam_max], axis=-1)
     return np.linalg.eigvalsh(M)
+
+
+def form_eigenvalues(geom, omega):
+    """Ascending generalized eigenvalues of a symmetric form field against chi.
+
+    omega has shape grid + (n, n); the result has shape grid + (n,).
+    """
+    Linv = geom.chol_inv()
+    M = Linv @ np.asarray(omega, dtype=float) @ Linv.T
+    return _eigvals(0.5 * (M + np.swapaxes(M, -1, -2)))
 
 
 def eigenvalue_field(geom, phi, scheme="spectral"):
     """Ascending generalized eigenvalues lam(x), shape grid + (n,)."""
-    return _sym_eig(geom, _omega_field(geom, phi, scheme))
+    return _eigvals(_reduced_field(geom, _values_of(phi, geom), scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +401,16 @@ def _weights(n):
 # residual / margin / linearization
 # ---------------------------------------------------------------------------
 
-def _positivity_or_none(geom, lam):
-    """Index of the worst non-positive eigenvalue point, or None if positive."""
+def _require_positive(lam, message, report_value=True):
+    """Raise ConeBreachError at the worst point unless every eigenvalue is positive."""
     lam_min = lam[..., 0]
     worst = np.unravel_index(np.argmin(lam_min), lam_min.shape)
     if lam_min[worst] <= 0.0:
-        return worst
-    return None
+        raise ConeBreachError(
+            message,
+            worst_point=worst,
+            value=float(lam_min[worst]) if report_value else None,
+        )
 
 
 def _margin_field_from_lam(coeffs, t, lam):
@@ -331,13 +454,7 @@ def residual(geom, coeffs, f_grid, t, phi, slack=0.0, scheme="spectral"):
     """Stage-t pointwise residual; raises ConeBreachError off the positive cone."""
     f = _check_f_grid(geom, f_grid)
     lam = eigenvalue_field(geom, phi, scheme)
-    worst = _positivity_or_none(geom, lam)
-    if worst is not None:
-        raise ConeBreachError(
-            "residual: deformed form lost positivity",
-            worst_point=worst,
-            value=float(lam[..., 0][worst]),
-        )
+    _require_positive(lam, "residual: deformed form lost positivity")
     return _residual_from_lam(coeffs, t, f, lam, slack)
 
 
@@ -355,13 +472,7 @@ def cone_margin_field(geom, coeffs, t, phi, scheme="spectral"):
     margin field.
     """
     lam = eigenvalue_field(geom, phi, scheme)
-    worst = _positivity_or_none(geom, lam)
-    if worst is not None:
-        raise ConeBreachError(
-            "cone_margin_field: deformed form lost positivity",
-            worst_point=worst,
-            value=float(lam[..., 0][worst]),
-        )
+    _require_positive(lam, "cone_margin_field: deformed form lost positivity")
     margins = _margin_field_from_lam(coeffs, t, lam)
     argmin = np.unravel_index(np.argmin(margins), margins.shape)
     return ConeMarginReport(float(margins[argmin]), tuple(int(i) for i in argmin), margins)
@@ -372,85 +483,76 @@ class LinearizedResidual:
 
     apply(psi) evaluates  (1/4) sum_ab Q_ab(x) (Hess psi)_ab(x)  where Q is
     the matrix derivative of the symmetric-function term; the derivative
-    with respect to the slack unknown is the constant -1.
+    with respect to the slack unknown is the constant -1.  `reduced` is the
+    matrix field M = L^{-1} Omega_phi L^{-T} at the iterate.
     """
 
     slack_direction = -1.0
 
-    def __init__(self, geom, q_field, scheme):
+    def __init__(self, geom, q_field, scheme, reduced):
         self.geom = geom
         self.q_field = q_field
         self.scheme = scheme
+        self.reduced = reduced
+        # Q_ab per stacked pair, counted twice off the diagonal (Q_ab = Q_ba)
+        self._pair_weights = np.stack(
+            [(1.0 if a == b else 2.0) * q_field[..., a, b] for a, b in _pairs(geom.n)]
+        )
 
     def apply(self, psi):
-        H = potential_hessian(self.geom, np.asarray(psi, dtype=float), self.scheme)
-        return 0.25 * np.einsum("...ab,...ab->...", self.q_field, H)
+        comps = _quarter_hessian(self.geom, np.asarray(psi, dtype=float), self.scheme)
+        return np.einsum("p...,p...->...", self._pair_weights, comps)
 
     def mean_symbol(self):
-        """Fourier symbol magnitude m(k) of the averaged-coefficient operator."""
+        """Symbol magnitude m(k) of the averaged-coefficient operator on the
+        rfftn half spectrum."""
         geom = self.geom
-        qbar = self.q_field.reshape(-1, geom.n, geom.n).mean(axis=0)
-        kk = np.meshgrid(*_freqs(geom.grid_shape), indexing="ij")
-        m = np.zeros(geom.grid_shape)
+        qbar = self._pair_weights.reshape(len(self._pair_weights), -1).mean(axis=1)
         if self.scheme == "spectral":
-            for a in range(geom.n):
-                for b in range(geom.n):
-                    m += qbar[a, b] * (2.0 * np.pi) ** 2 * kk[a] * kk[b]
-        else:
-            # exact symbol of the centered stencils; positive away from k=0
-            shape = geom.grid_shape
-            s = [np.sin(2.0 * np.pi * kk[a] / shape[a]) * shape[a] for a in range(geom.n)]
-            for a in range(geom.n):
-                ha = 1.0 / shape[a]
-                m += qbar[a, a] * (4.0 / ha**2) * np.sin(np.pi * kk[a] * ha) ** 2
-                for b in range(geom.n):
-                    if b != a:
-                        m += qbar[a, b] * s[a] * s[b]
+            return -np.tensordot(qbar, geom._quarter_symbols, axes=1)
+        # exact symbol of the centered stencils; positive away from k=0
+        shape = geom.grid_shape
+        k = geom._wavenumbers
+        s = [np.sin(2.0 * np.pi * k[a] / shape[a]) * shape[a] for a in range(geom.n)]
+        m = np.zeros(geom._quarter_symbols.shape[1:])
+        for p, (a, b) in enumerate(_pairs(geom.n)):
+            if a == b:
+                m += qbar[p] * 4.0 * shape[a] ** 2 * np.sin(np.pi * k[a] / shape[a]) ** 2
+            else:
+                m += qbar[p] * s[a] * s[b]
         return 0.25 * m
 
 
 def linearize(geom, coeffs, f_grid, t, phi, slack=0.0, scheme="spectral"):
-    """Exact derivative of `residual` in (phi, slack) at the given iterate."""
+    """Exact derivative of `residual` in (phi, slack) at the given iterate.
+
+    The residual is sum_k a_k e_k(M) + const with M = L^{-1} Omega_phi L^{-T}.
+    Its matrix derivative needs no eigenvectors:
+
+        P = sum_k a_k sum_j (-1)^j e_{k-1-j}(M) M^j,   Q = L^{-T} P L^{-1}.
+    """
     _check_f_grid(geom, f_grid)
-    omega = _omega_field(geom, phi, scheme)
-    lam, vec = _sym_eig(geom, omega, vectors=True)
-    worst = _positivity_or_none(geom, lam)
-    if worst is not None:
-        raise ConeBreachError(
-            "linearize: deformed form lost positivity",
-            worst_point=worst,
-            value=float(lam[..., 0][worst]),
-        )
+    reduced = _reduced_field(geom, _values_of(phi, geom), scheme)
+    lam = _eigvals(reduced)
+    _require_positive(lam, "linearize: deformed form lost positivity")
     n = geom.n
     w = _weights(n)
+    a = [0.0] + [-t * coeffs.c[k - 1] * w[k] for k in range(1, n)] + [1.0]
     e_all = _elem_sym_all(lam)
-    e_del = _elem_sym_deleted_all(lam, e_all)
-    g = e_del[..., :, n - 1].copy()
-    for k in range(1, n):
-        ck = coeffs.c[k - 1]
-        if ck:
-            g -= t * ck * w[k] * e_del[..., :, k - 1]
+    P = np.zeros_like(reduced)
+    power = np.eye(n)
+    for j in range(n):
+        if j:
+            power = reduced if j == 1 else power @ reduced
+        beta = (-1) ** j * sum(a[k] * e_all[..., k - 1 - j] for k in range(j + 1, n + 1))
+        P += beta[..., None, None] * power
     Linv = geom.chol_inv()
-    middle = np.einsum("...ak,...k,...bk->...ab", vec, g, vec)
-    q_field = np.einsum("ca,...cd,db->...ab", Linv, middle, Linv)
-    return LinearizedResidual(geom, q_field, scheme)
+    return LinearizedResidual(geom, Linv.T @ P @ Linv, scheme, reduced)
 
 
 # ---------------------------------------------------------------------------
 # Newton with bordered mean-zero/slack system
 # ---------------------------------------------------------------------------
-
-def _gmres(op, rhs, M, rtol, restart, maxiter):
-    try:
-        sol, info = scipy.sparse.linalg.gmres(
-            op, rhs, M=M, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter
-        )
-    except TypeError:  # older scipy spells the tolerance "tol"
-        sol, info = scipy.sparse.linalg.gmres(
-            op, rhs, M=M, tol=rtol, atol=0.0, restart=restart, maxiter=maxiter
-        )
-    return sol, info
-
 
 def _newton_step(geom, lin, res):
     """Solve the bordered system J (dphi, ds) = (-res, 0), mean(dphi) = 0."""
@@ -464,27 +566,26 @@ def _newton_step(geom, lin, res):
         return np.concatenate([out_field.ravel(), [psi.mean()]])
 
     symbol = lin.mean_symbol()
-    flat_symbol = symbol.ravel()
-    if np.any(flat_symbol[1:] <= 0):
+    if np.any(symbol.flat[1:] <= 0):
         raise LinearSolveStallError(
             "preconditioner symbol lost positivity (averaged coefficients not elliptic)"
         )
+    inverse_symbol = np.zeros_like(symbol)
+    np.divide(-1.0, symbol, out=inverse_symbol, where=symbol > 0)
 
     def precond(v):
         rho = v[:N].reshape(shape)
-        beta = v[N]
-        rho_mean = rho.mean()
-        rho_hat = np.fft.fftn(rho - rho_mean)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi_hat = np.where(symbol > 0, rho_hat / (-symbol), 0.0)
-        psi_hat.flat[0] = beta * N
-        psi = np.fft.ifftn(psi_hat).real
-        return np.concatenate([psi.ravel(), [-rho_mean]])
+        psi_hat = np.fft.rfftn(rho) * inverse_symbol
+        psi_hat.flat[0] = v[N] * N
+        psi = np.fft.irfftn(psi_hat, s=shape, axes=range(len(shape)))
+        return np.concatenate([psi.ravel(), [-rho.mean()]])
 
     op = scipy.sparse.linalg.LinearOperator((N + 1, N + 1), matvec=matvec)
     pre = scipy.sparse.linalg.LinearOperator((N + 1, N + 1), matvec=precond)
     rhs = np.concatenate([(-res).ravel(), [0.0]])
-    sol, info = _gmres(op, rhs, pre, rtol=1e-12, restart=64, maxiter=40)
+    sol, info = scipy.sparse.linalg.gmres(
+        op, rhs, M=pre, rtol=1e-12, atol=0.0, restart=64, maxiter=40
+    )
     if info != 0:
         raise LinearSolveStallError(f"inner GMRES did not converge (info={info})")
     dphi = sol[:N].reshape(shape)
@@ -503,11 +604,9 @@ class SolveState:
     stages: list = field(default_factory=list)
 
 
-def _diagnostics(geom, coeffs, f, t, phi, slack, scheme):
-    """(residual, margin field) or (None, breach point) without raising."""
-    lam = eigenvalue_field(geom, phi, scheme)
-    worst = _positivity_or_none(geom, lam)
-    if worst is not None:
+def _diagnostics(coeffs, f, t, lam, slack):
+    """(residual, margin field), or (None, None) off the positive cone."""
+    if lam[..., 0].min() <= 0.0:
         return None, None
     res = _residual_from_lam(coeffs, t, f, lam, slack)
     margin = _margin_field_from_lam(coeffs, t, lam)
@@ -529,14 +628,18 @@ def newton_solve(
 
     Step acceptance needs a residual decrease *and* a strictly positive
     cone margin at every grid point; the damping factor halves down to
-    2**-20 before the step is declared inadmissible.
+    2**-20 before the step is declared inadmissible.  The reduced matrix
+    field is linear in phi, so a trial at damping alpha evaluates
+    M(phi) + alpha M'(dphi) without differentiating again.
     """
     f = _check_f_grid(geom, f_grid)
     phi = (
         np.zeros(geom.grid_shape) if phi0 is None else _values_of(phi0, geom)
     )
     slack = float(slack0)
-    res, margin = _diagnostics(geom, coeffs, f, t, phi, slack, scheme)
+    res, margin = _diagnostics(
+        coeffs, f, t, eigenvalue_field(geom, phi, scheme), slack
+    )
     if res is None:
         raise ConeBreachError("newton_solve: initial state off the positive cone")
     if margin.min() <= 0.0:
@@ -551,16 +654,16 @@ def newton_solve(
             return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)
         lin = linearize(geom, coeffs, f, t, phi, slack, scheme)
         dphi, ds = _newton_step(geom, lin, res)
+        d_reduced = _assemble(_reduced_hessian(geom, dphi, scheme))
         alpha = 1.0
         accepted = False
         cone_rejections = 0
         attempts = 0
         while alpha >= 2.0**-20:
             attempts += 1
-            phi_try = _canonical(phi + alpha * dphi)
             slack_try = slack + alpha * ds
             res_try, margin_try = _diagnostics(
-                geom, coeffs, f, t, phi_try, slack_try, scheme
+                coeffs, f, t, _eigvals(lin.reduced + alpha * d_reduced), slack_try
             )
             if res_try is None or margin_try.min() <= 0.0:
                 cone_rejections += 1
@@ -568,7 +671,7 @@ def newton_solve(
                 continue
             res_try_sup = float(np.abs(res_try).max())
             if res_try_sup <= (1.0 - 1e-4 * alpha) * res_sup:
-                phi, slack = phi_try, slack_try
+                phi, slack = _canonical(phi + alpha * dphi), slack_try
                 res, margin, res_sup = res_try, margin_try, res_try_sup
                 accepted = True
                 break
@@ -612,9 +715,7 @@ def cohomology_integrals(geom, coeffs=None, f_grid=None):
     is reported as well (zero in the continuum; the grid mean of f stands
     in for its chi-normalized integral since chi is constant).
     """
-    lam0 = np.linalg.eigvalsh(
-        geom.chol_inv() @ geom.omega0 @ geom.chol_inv().T
-    )
+    lam0 = np.linalg.eigvalsh(geom._reduced_omega0)
     n = geom.n
     e_all = _elem_sym_all(lam0)
     w = _weights(n)
@@ -646,11 +747,9 @@ def manufacture(geom, coeffs, phi_star, scheme="spectral"):
     """
     phi = _values_of(phi_star, geom)
     lam = eigenvalue_field(geom, phi, scheme)
-    worst = _positivity_or_none(geom, lam)
-    if worst is not None:
-        raise ConeBreachError(
-            "manufacture: phi_star leaves the positive cone", worst_point=worst
-        )
+    _require_positive(
+        lam, "manufacture: phi_star leaves the positive cone", report_value=False
+    )
     n = geom.n
     w = _weights(n)
     e_all = _elem_sym_all(lam)

@@ -13,7 +13,7 @@ from gma.exceptions import (
     ConeBreachError,
     StepUnderflowError,
 )
-from gma.kernel import CoefficientSet
+from gma.kernel import CoefficientSet, elem_sym
 from gma.solver import (
     ClassPathReport,
     PotentialField,
@@ -23,6 +23,7 @@ from gma.solver import (
     cone_margin_field,
     continuity_solve,
     eigenvalue_field,
+    form_eigenvalues,
     hessian_field,
     linearize,
     manufacture,
@@ -293,6 +294,151 @@ def test_linearize_matches_directional_difference(scheme):
         - residual(geom, coeffs, f, t, phi, slack=-eps, scheme=scheme)
     ) / (2.0 * eps)
     assert np.allclose(sdiff, -1.0, rtol=0, atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# Cholesky-folded half-spectrum pipeline against direct formulas
+# ---------------------------------------------------------------------------
+
+FOLD_SHAPES = [(32,), (16, 16), (8, 10, 12)]
+
+
+def _fftn_hessian(values):
+    """Hessian from the full complex spectrum, keeping the real part."""
+    shape = values.shape
+    n = len(shape)
+    phat = np.fft.fftn(values)
+    kk = np.meshgrid(*[np.fft.fftfreq(s, d=1.0 / s) for s in shape], indexing="ij")
+    H = np.zeros(shape + (n, n))
+    for a in range(n):
+        for b in range(n):
+            mult = -((2.0 * np.pi) ** 2) * kk[a] * kk[b]
+            H[..., a, b] = np.fft.ifftn(mult * phat).real
+    return H
+
+
+def _random_spd(rng, n, spread=1.0):
+    R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return R @ np.diag(rng.uniform(1.0, 1.0 + spread, size=n)) @ R.T
+
+
+def _rough_case(shape, seed):
+    """Random backgrounds and white-noise phi scaled to keep Omega_phi > 0."""
+    rng = np.random.default_rng(seed)
+    n = len(shape)
+    chi = _random_spd(rng, n)
+    omega0 = _random_spd(rng, n)
+    geom = TorusGeometry(n, shape, chi, omega0)
+    phi = rng.uniform(-1.0, 1.0, size=shape)
+    phi -= phi.mean()
+    H = _fftn_hessian(phi)
+    floor = np.linalg.eigvalsh(np.linalg.solve(chi, omega0)).min()
+    scale = 0.3 * floor / np.abs(0.25 * H).max()
+    return geom, scale * phi, scale * H
+
+
+def _reduced_oracle(geom, H):
+    Linv = np.linalg.inv(np.linalg.cholesky(geom.chi))
+    return (
+        np.einsum("ij,...jk,lk->...il", Linv, geom.omega0 + 0.25 * H, Linv),
+        np.einsum("ij,...jk,lk->...il", Linv, 0.25 * H, Linv),
+    )
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+def test_half_spectrum_hessian_matches_full_spectrum(shape):
+    geom, phi, H = _rough_case(shape, 20)
+    err = np.abs(potential_hessian(geom, phi) - H).max()
+    assert err <= 1e-12 * np.abs(H).max()
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+def test_reduced_field_matches_sandwiched_full_spectrum_hessian(shape):
+    geom, phi, H = _rough_case(shape, 21)
+    n = geom.n
+    coeffs = CoefficientSet(n, (0.3,) * (n - 1)).with_c0(1.0)
+    lin = linearize(geom, coeffs, np.zeros(shape), 0.5, phi)
+    oracle, hess_part = _reduced_oracle(geom, H)
+    err = np.abs(lin.reduced - oracle).max()
+    assert err <= 1e-12 * np.abs(hess_part).max()
+    assert np.array_equal(lin.reduced, np.swapaxes(lin.reduced, -1, -2))
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+def test_linearize_q_matches_eigenvector_formula(shape):
+    geom, phi, H = _rough_case(shape, 22)
+    n = geom.n
+    c = (0.7, 0.4)[: n - 1]
+    coeffs = CoefficientSet(n, c).with_c0(1.0)
+    t = 0.6
+    lin = linearize(geom, coeffs, np.zeros(shape), t, phi)
+    Linv = np.linalg.inv(np.linalg.cholesky(geom.chi))
+    oracle, _ = _reduced_oracle(geom, H)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        idx = tuple(int(rng.integers(0, s)) for s in shape)
+        lam, vec = np.linalg.eigh(oracle[idx])
+        # dG/dlam_i = e_{n-1}(lam without i) - t sum_k c_k/C(n,k) e_{k-1}(lam without i)
+        g = np.empty(n)
+        for i in range(n):
+            rest = np.delete(lam, i)
+            g[i] = elem_sym(rest, n - 1) - sum(
+                t * c[k - 1] / math.comb(n, k) * elem_sym(rest, k - 1)
+                for k in range(1, n)
+            )
+        Q = Linv.T @ (vec * g) @ vec.T @ Linv
+        assert np.abs(lin.q_field[idx] - Q).max() <= 1e-12 * np.abs(Q).max()
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_two_by_two_closed_form_matches_eigvalsh(k):
+    rng = np.random.default_rng(30 + k)
+    geom = geom2(16)  # chi = I, so the forms are their own reductions
+    lam = np.stack(
+        [10.0**-k * rng.uniform(0.5, 2.0, 256), 10.0**k * rng.uniform(0.5, 2.0, 256)],
+        axis=-1,
+    )
+    theta = rng.uniform(0.0, np.pi, 256)
+    R = np.stack(
+        [np.stack([np.cos(theta), -np.sin(theta)], -1),
+         np.stack([np.sin(theta), np.cos(theta)], -1)],
+        axis=-2,
+    )
+    omega = (R * lam[:, None, :]) @ np.swapaxes(R, -1, -2)
+    omega = 0.5 * (omega + np.swapaxes(omega, -1, -2))
+    closed = form_eigenvalues(geom, omega.reshape(16, 16, 2, 2)).reshape(256, 2)
+    reference = np.linalg.eigvalsh(omega)
+    lam_max = reference[:, 1:]
+    assert np.all(np.abs(closed - reference) <= 1e-14 * lam_max)
+    # diagonal forms keep the small eigenvalue to full relative accuracy
+    diag = np.zeros((16, 16, 2, 2))
+    diag[..., 0, 0] = lam[:, 0].reshape(16, 16)
+    diag[..., 1, 1] = lam[:, 1].reshape(16, 16)
+    closed = form_eigenvalues(geom, diag)
+    smaller = lam.min(axis=-1).reshape(16, 16)
+    assert np.all(np.abs(closed[..., 0] / smaller - 1.0) <= 4e-16)
+
+
+@pytest.mark.parametrize(
+    "make_geom, scheme",
+    [(lambda: geom2(32, [[1.0, 0.2], [0.2, 0.8]], [[1.3, 0.1], [0.1, 1.1]]), "spectral"),
+     (lambda: geom2(16), "fd"),
+     (lambda: TorusGeometry(3, (8, 8, 8), np.eye(3), 1.2 * np.eye(3)), "spectral")],
+)
+def test_newton_reports_residual_of_returned_potential(make_geom, scheme):
+    geom = make_geom()
+    n = geom.n
+    coeffs = CoefficientSet(n, (0.5,) + (0.3,) * (n - 2))
+    case = manufacture(geom, coeffs, two_mode(geom.grid_shape, 0.04), scheme=scheme)
+    ints = cohomology_integrals(geom, coeffs, case.f_grid)
+    coeffs = coeffs.with_c0(ints.c0)
+    state = newton_solve(geom, coeffs, case.f_grid, 0.5, scheme=scheme)
+    assert state.newton_trace  # the line search ran
+    for t, st in ((0.5, state), (1.0, newton_solve(
+            geom, coeffs, case.f_grid, 1.0, phi0=state.phi, slack0=state.slack,
+            scheme=scheme))):
+        recomputed = residual(geom, coeffs, case.f_grid, t, st.phi, st.slack, scheme=scheme)
+        assert abs(st.residual_sup - np.abs(recomputed).max()) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
