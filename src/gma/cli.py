@@ -236,43 +236,10 @@ def _handle_kernel_fm(config, args, config_dir):
     return report, {}, 0
 
 
-def _deleted_sym_stable(lam):
-    """e_m of every one-deleted subvector, [sample, i, m], m = 0..n-1.
-
-    Convolves prefix and suffix products of (1 + lam_j x); every
-    accumulation adds nonnegative terms, so the result is forward stable
-    even for widely spread entries (unlike the downdating recurrence
-    e_{m;i} = e_m - lam_i e_{m-1;i}, which cancels).
-    """
-    import numpy as np
-
-    samples, n = lam.shape
-    base = np.zeros((samples, n + 1))
-    base[:, 0] = 1.0
-    prefixes = [base]
-    for i in range(n):
-        nxt = prefixes[-1].copy()
-        nxt[:, 1:] += lam[:, i : i + 1] * prefixes[-1][:, :-1]
-        prefixes.append(nxt)
-    suffixes = [base]
-    for i in range(n - 1, -1, -1):
-        nxt = suffixes[-1].copy()
-        nxt[:, 1:] += lam[:, i : i + 1] * suffixes[-1][:, :-1]
-        suffixes.append(nxt)
-    suffixes.reverse()
-    out = np.zeros((samples, n, n))
-    for i in range(n):
-        pre, suf = prefixes[i], suffixes[i + 1]
-        for m in range(n):
-            out[:, i, m] = sum(pre[:, a] * suf[:, m - a] for a in range(m + 1))
-    return out
-
-
 def _handle_kernel_identities(config, args, config_dir):
     import numpy as np
 
     from . import kernel
-    from .solver import _elem_sym_all
 
     n_list = [int(n) for n in config.get("nList", range(1, 9))]
     samples = int(config.get("samples", 1000))
@@ -283,8 +250,8 @@ def _handle_kernel_identities(config, args, config_dir):
     worst_dual = 0.0
     for n in n_list:
         lam = 10.0 ** rng.uniform(-2.0, 2.0, size=(samples, n))
-        e_all = _elem_sym_all(lam)
-        deleted = _deleted_sym_stable(lam)
+        e_all = kernel.elem_sym_all(lam)
+        deleted = kernel.elem_sym_deleted_all(lam)
         # e_k = e_{k;i} + lam_i e_{k-1;i} for every deleted index i
         for k in range(1, n + 1):
             kept = deleted[:, :, k] if k <= n - 1 else 0.0
@@ -306,7 +273,7 @@ def _handle_kernel_identities(config, args, config_dir):
             )
         # enumeration route vs vectorized routes on a subsample
         for s, row in enumerate(lam[: min(samples, 20)]):
-            e_row = _elem_sym_all(row)
+            e_row = kernel.elem_sym_all(row)
             for k in range(n + 1):
                 truth = kernel.elem_sym(row, k)
                 rel = abs(e_row[k] - truth) / max(abs(truth), 1e-300)

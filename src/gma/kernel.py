@@ -11,8 +11,10 @@ solvability bookkeeping at a point reduces to scalar functions of lam:
 The cone condition at the point is  max_i L_i < 1,  and V == 1 encodes a
 solved state of the interpolated equation at parameter t.
 
-All scalar routines here are written for clarity and exactness, not
-throughput; grid-sized batches live in :mod:`gma.solver`.
+The scalar routines here are written for clarity and exactness, not
+throughput, and serve as oracles.  The batched layer (`elem_sym_all`,
+`elem_sym_deleted_all`, `margin_field`) acts on the last axis of
+grid-sized arrays and is what the solver, psh and cli evaluate.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ import numpy as np
 __all__ = [
     "elem_sym",
     "elem_sym_deleted",
+    "elem_sym_all",
+    "elem_sym_deleted_all",
     "maclaurin_chain",
     "CoefficientSet",
     "EigenProfile",
     "ConeReport",
     "cone_margin",
+    "margin_field",
     "operator_value",
     "operator_gradient",
     "euler_weighted_sum",
@@ -87,6 +92,32 @@ def elem_sym_deleted(values, k, i, j=None):
         drop.add(j)
     rest = [v for idx, v in enumerate(vals) if idx not in drop]
     return elem_sym(rest, k)
+
+
+def elem_sym_all(vals):
+    """e_0..e_n of the last axis; output shape (..., n+1)."""
+    vals = np.asarray(vals, dtype=float)
+    n = vals.shape[-1]
+    out = np.zeros(vals.shape[:-1] + (n + 1,))
+    out[..., 0] = 1.0
+    for idx in range(n):
+        v = vals[..., idx]
+        for k in range(idx + 1, 0, -1):
+            out[..., k] += v * out[..., k - 1]
+    return out
+
+
+def elem_sym_deleted_all(vals):
+    """[..., i, m] = e_m of the last axis with entry i deleted, m = 0..n-1.
+
+    Row i is `elem_sym_all` of the kept entries.  For positive entries
+    every step adds nonnegative terms, so the result is forward stable at
+    any spread (the downdating e_{m; i} = e_m - v_i e_{m-1; i} cancels).
+    """
+    vals = np.asarray(vals, dtype=float)
+    n = vals.shape[-1]
+    kept = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=int)
+    return elem_sym_all(vals[..., kept])
 
 
 def maclaurin_chain(values):
@@ -225,6 +256,22 @@ def cone_margin(coeffs, t, lam):
         loads.append(li)
     margin = 1.0 - max(loads)
     return ConeReport(tuple(loads), margin, margin > 0.0)
+
+
+def margin_field(coeffs, t, lam):
+    """Batched `cone_margin`: 1 - max_i L_i over the last axis of lam.
+
+    lam holds positive eigenvalues in any order; no range checks.
+    """
+    lam = np.asarray(lam, dtype=float)
+    n = coeffs.n
+    deleted = elem_sym_deleted_all(1.0 / lam)
+    load = np.zeros(lam.shape)
+    for k in range(1, n):
+        ck = coeffs.c[k - 1]
+        if ck:
+            load += t * ck * coeffs.weight(k) * deleted[..., :, n - k]
+    return 1.0 - load.max(axis=-1)
 
 
 def _require_c0(coeffs, t):

@@ -17,12 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from .solver import (
-    _margin_field_from_lam,
-    cone_margin_field,
-    form_eigenvalues,
-    potential_hessian,
-)
+from .kernel import margin_field
+from .solver import cone_margin_field, form_eigenvalues, potential_hessian
 
 __all__ = [
     "sphere_area",
@@ -489,7 +485,7 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
                 min_margin = -math.inf
                 argmin = None
             else:
-                margins = _margin_field_from_lam(coeffs, t, lam / s)
+                margins = margin_field(coeffs, t, lam / s)
                 argmin = np.unravel_index(np.argmin(margins), margins.shape)
                 min_margin = float(margins[argmin])
                 argmin = tuple(int(i) for i in argmin)

@@ -37,7 +37,7 @@ from .exceptions import (
     MaxIterationsError,
     StepUnderflowError,
 )
-from .kernel import CoefficientSet, source_floor
+from .kernel import CoefficientSet, elem_sym_all, margin_field, source_floor
 
 __all__ = [
     "TorusGeometry",
@@ -283,19 +283,19 @@ def _quarter_hessian(geom, values, scheme):
         raise ValueError(f"unknown scheme {scheme!r}")
     # centered second-order stencils
     shape = geom.grid_shape
+    ahead = [np.roll(values, -1, axis=a) for a in range(geom.n)]
+    behind = [np.roll(values, 1, axis=a) for a in range(geom.n)]
     comps = np.empty((len(_pairs(geom.n)),) + shape)
     for p, (a, b) in enumerate(_pairs(geom.n)):
         if a == b:
             h = 1.0 / shape[a]
-            dd = (
-                np.roll(values, -1, axis=a) - 2.0 * values + np.roll(values, 1, axis=a)
-            ) / h**2
+            dd = (ahead[a] - 2.0 * values + behind[a]) / h**2
         else:
             ha, hb = 1.0 / shape[a], 1.0 / shape[b]
-            pp = np.roll(np.roll(values, -1, axis=a), -1, axis=b)
-            pm = np.roll(np.roll(values, -1, axis=a), 1, axis=b)
-            mp = np.roll(np.roll(values, 1, axis=a), -1, axis=b)
-            mm = np.roll(np.roll(values, 1, axis=a), 1, axis=b)
+            pp = np.roll(ahead[a], -1, axis=b)
+            pm = np.roll(ahead[a], 1, axis=b)
+            mp = np.roll(behind[a], -1, axis=b)
+            mm = np.roll(behind[a], 1, axis=b)
             dd = (pp - pm - mp + mm) / (4.0 * ha * hb)
         comps[p] = 0.25 * dd
     return comps
@@ -364,40 +364,6 @@ def eigenvalue_field(geom, phi, scheme="spectral"):
 
 
 # ---------------------------------------------------------------------------
-# batched symmetric polynomials
-# ---------------------------------------------------------------------------
-
-def _elem_sym_all(vals):
-    """e_0..e_n of the last axis; output shape (..., n+1)."""
-    n = vals.shape[-1]
-    out = np.zeros(vals.shape[:-1] + (n + 1,))
-    out[..., 0] = 1.0
-    for idx in range(n):
-        v = vals[..., idx]
-        for k in range(idx + 1, 0, -1):
-            out[..., k] += v * out[..., k - 1]
-    return out
-
-
-def _elem_sym_deleted_all(vals, e_all):
-    """[..., i, m] = e_m with entry i deleted, m = 0..n-1.
-
-    Uses e_{m; i} = e_m - v_i e_{m-1; i}; numerically benign since all
-    quantities here are evaluated at positive entries.
-    """
-    n = vals.shape[-1]
-    out = np.zeros(vals.shape[:-1] + (n, n))
-    out[..., :, 0] = 1.0
-    for m in range(1, n):
-        out[..., :, m] = e_all[..., m][..., None] - vals * out[..., :, m - 1]
-    return out
-
-
-def _weights(n):
-    return np.array([1.0 / math.comb(n, k) for k in range(n + 1)])
-
-
-# ---------------------------------------------------------------------------
 # residual / margin / linearization
 # ---------------------------------------------------------------------------
 
@@ -413,28 +379,28 @@ def _require_positive(lam, message, report_value=True):
         )
 
 
-def _margin_field_from_lam(coeffs, t, lam):
+def _operator_coeffs(coeffs, t):
+    """a_0..a_n of the symmetric part sum_k a_k e_k(lam) of the stage-t residual:
+    a_0 = 0, a_k = -t c_k / C(n,k) for 0 < k < n, a_n = 1."""
     n = coeffs.n
-    x = 1.0 / lam
-    ex_all = _elem_sym_all(x)
-    ex_del = _elem_sym_deleted_all(x, ex_all)
-    load = np.zeros(lam.shape[:-1] + (n,))
+    inner = [-(t * coeffs.c[k - 1] * coeffs.weight(k)) for k in range(1, n)]
+    return [0.0] + inner + [1.0]
+
+
+def _sym_part(coeffs, t, lam):
+    """sum_k a_k e_k(lam), ascending in k, skipping vanishing a_k."""
+    n = coeffs.n
+    a = _operator_coeffs(coeffs, t)
+    e_all = elem_sym_all(lam)
+    G = e_all[..., n].copy()
     for k in range(1, n):
-        ck = coeffs.c[k - 1]
-        if ck:
-            load += t * ck * coeffs.weight(k) * ex_del[..., :, n - k]
-    return 1.0 - load.max(axis=-1)
+        if a[k]:
+            G += a[k] * e_all[..., k]
+    return G
 
 
 def _residual_from_lam(coeffs, t, f_grid, lam, slack):
-    n = coeffs.n
-    w = _weights(n)
-    e_all = _elem_sym_all(lam)
-    G = e_all[..., n].copy()
-    for k in range(1, n):
-        ck = coeffs.c[k - 1]
-        if ck:
-            G -= t * ck * w[k] * e_all[..., k]
+    G = _sym_part(coeffs, t, lam)
     c0 = coeffs.c0 if coeffs.c0 is not None else 0.0
     if t < 1.0 and coeffs.c0 is None:
         raise ValueError("residual: c0 required for t < 1 (attach via with_c0)")
@@ -473,7 +439,7 @@ def cone_margin_field(geom, coeffs, t, phi, scheme="spectral"):
     """
     lam = eigenvalue_field(geom, phi, scheme)
     _require_positive(lam, "cone_margin_field: deformed form lost positivity")
-    margins = _margin_field_from_lam(coeffs, t, lam)
+    margins = margin_field(coeffs, t, lam)
     argmin = np.unravel_index(np.argmin(margins), margins.shape)
     return ConeMarginReport(float(margins[argmin]), tuple(int(i) for i in argmin), margins)
 
@@ -536,9 +502,8 @@ def linearize(geom, coeffs, f_grid, t, phi, slack=0.0, scheme="spectral"):
     lam = _eigvals(reduced)
     _require_positive(lam, "linearize: deformed form lost positivity")
     n = geom.n
-    w = _weights(n)
-    a = [0.0] + [-t * coeffs.c[k - 1] * w[k] for k in range(1, n)] + [1.0]
-    e_all = _elem_sym_all(lam)
+    a = _operator_coeffs(coeffs, t)
+    e_all = elem_sym_all(lam)
     P = np.zeros_like(reduced)
     power = np.eye(n)
     for j in range(n):
@@ -609,7 +574,7 @@ def _diagnostics(coeffs, f, t, lam, slack):
     if lam[..., 0].min() <= 0.0:
         return None, None
     res = _residual_from_lam(coeffs, t, f, lam, slack)
-    margin = _margin_field_from_lam(coeffs, t, lam)
+    margin = margin_field(coeffs, t, lam)
     return res, margin
 
 
@@ -717,9 +682,8 @@ def cohomology_integrals(geom, coeffs=None, f_grid=None):
     """
     lam0 = np.linalg.eigvalsh(geom._reduced_omega0)
     n = geom.n
-    e_all = _elem_sym_all(lam0)
-    w = _weights(n)
-    values = tuple(float(w[k] * e_all[k]) for k in range(n + 1))
+    e_all = elem_sym_all(lam0)
+    values = tuple(float(e_all[k] * (1.0 / math.comb(n, k))) for k in range(n + 1))
     c0 = values[n]
     defect = None
     if coeffs is not None and f_grid is not None:
@@ -750,15 +714,7 @@ def manufacture(geom, coeffs, phi_star, scheme="spectral"):
     _require_positive(
         lam, "manufacture: phi_star leaves the positive cone", report_value=False
     )
-    n = geom.n
-    w = _weights(n)
-    e_all = _elem_sym_all(lam)
-    f = e_all[..., n].copy()
-    for k in range(1, n):
-        ck = coeffs.c[k - 1]
-        if ck:
-            f -= ck * w[k] * e_all[..., k]
-    return ManufacturedCase(phi, f)
+    return ManufacturedCase(phi, _sym_part(coeffs, 1.0, lam))
 
 
 # ---------------------------------------------------------------------------

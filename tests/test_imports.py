@@ -1,0 +1,23 @@
+"""Module boundaries: no gma module imports another module's private names."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import gma
+
+
+def test_no_private_cross_module_imports():
+    offenders = []
+    for path in sorted(Path(gma.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [
+                    f"{path.name}:{node.lineno} from {'.' * node.level}{node.module or ''} "
+                    f"import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)

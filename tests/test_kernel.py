@@ -14,8 +14,11 @@ from gma.kernel import (
     binomial_product_identity,
     cone_margin,
     elem_sym,
+    elem_sym_all,
     elem_sym_deleted,
+    elem_sym_deleted_all,
     euler_weighted_sum,
+    margin_field,
     maclaurin_chain,
     min_avoidance_eigenvalue,
     operator_gradient,
@@ -166,6 +169,37 @@ def test_deleted_recurrence():
                     lam, k - 1, i
                 )
                 assert _close(sk, rec)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_layer_matches_enumeration_at_wide_spreads(n):
+    # entries u * 10^s, u in [1/2, 2], s uniform in [-k, k]; every sum of
+    # positive terms must keep full relative accuracy at any spread
+    rng = np.random.default_rng(100 + n)
+    c = rng.uniform(0.1, 1.0, size=n - 1)
+    c[1::2] = 0.0  # exercise skipped coefficients
+    coeffs = CoefficientSet(n, tuple(c))
+    t = 0.8
+    for k in range(5):
+        lam = np.sort(
+            rng.uniform(0.5, 2.0, size=(40, n)) * 10.0 ** rng.uniform(-k, k, size=(40, n)),
+            axis=-1,
+        )
+        e_all = elem_sym_all(lam)
+        deleted = elem_sym_deleted_all(lam)
+        margins = margin_field(coeffs, t, lam)
+        assert e_all.shape == (40, n + 1) and deleted.shape == (40, n, n)
+        for s, row in enumerate(lam):
+            for m in range(n + 1):
+                truth = elem_sym(row, m)
+                assert abs(e_all[s, m] - truth) <= 1e-13 * truth
+            for i in range(n):
+                for m in range(n):
+                    truth = elem_sym_deleted(row, m, i)
+                    assert abs(deleted[s, i, m] - truth) <= 1e-13 * truth
+            report = cone_margin(coeffs, t, row)
+            scale = max(1.0, max(report.per_index_load))
+            assert abs(margins[s] - report.margin) <= 1e-13 * scale
 
 
 def test_maclaurin_chain_monotone():
