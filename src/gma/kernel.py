@@ -151,14 +151,11 @@ class CoefficientSet:
     zeta is the largest index with c_zeta > 0 (None in the first regime).
     c0 is the constant fixed by the class integrals at the start of the
     continuity path; it may be attached later via `with_c0`.
-    f_integral_sign, when supplied, records the sign of the source-term
-    integral used for regime validation.
     """
 
     n: int
     c: tuple = ()
     c0: float | None = None
-    f_integral_sign: float | None = None
     zeta: int | None = field(init=False, default=None)
     regime: str = field(init=False, default="AllZeroPositiveF")
 
@@ -178,18 +175,9 @@ class CoefficientSet:
         object.__setattr__(
             self, "regime", "PositiveSum" if nz else "AllZeroPositiveF"
         )
-        if self.f_integral_sign is not None:
-            if self.regime == "AllZeroPositiveF" and self.f_integral_sign <= 0:
-                raise ValueError(
-                    "CoefficientSet: with all c_k = 0 the source integral must be positive"
-                )
-            if self.regime == "PositiveSum" and self.f_integral_sign < 0:
-                raise ValueError(
-                    "CoefficientSet: source integral must be >= 0 in PositiveSum regime"
-                )
 
     def with_c0(self, c0):
-        return CoefficientSet(self.n, self.c, float(c0), self.f_integral_sign)
+        return CoefficientSet(self.n, self.c, float(c0))
 
     def weight(self, k):
         """1 / C(n, k), the normalization attached to c_k."""

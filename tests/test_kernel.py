@@ -330,11 +330,9 @@ def test_coefficient_set_guards():
         CoefficientSet(3, (1.0,))  # wrong length
     with pytest.raises(ValueError):
         CoefficientSet(2, (-1.0,))
-    with pytest.raises(ValueError):
-        CoefficientSet(2, (0.0,), f_integral_sign=-1.0)
     cs = CoefficientSet(4, (0.0, 2.0, 0.0))
     assert cs.zeta == 2 and cs.regime == "PositiveSum"
-    assert CoefficientSet(3, (0.0, 0.0), f_integral_sign=1.0).regime == "AllZeroPositiveF"
+    assert CoefficientSet(3, (0.0, 0.0)).regime == "AllZeroPositiveF"
 
 
 def test_operator_requires_c0_before_endpoint():

@@ -2,6 +2,7 @@
 continuity marching, manufactured recovery, and failure modes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -417,6 +418,155 @@ def test_two_by_two_closed_form_matches_eigvalsh(k):
     closed = form_eigenvalues(geom, diag)
     smaller = lam.min(axis=-1).reshape(16, 16)
     assert np.all(np.abs(closed[..., 0] / smaller - 1.0) <= 4e-16)
+
+
+def _rotated(rng, lam):
+    """Symmetric 3 x 3 matrices Q diag(lam) Q^T with random rotations Q."""
+    Q, R = np.linalg.qr(rng.standard_normal(lam.shape + (3,)))
+    Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[:, None, :]
+    M = (Q * lam[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _form_eigenvalues_3d(M):
+    """form_eigenvalues of 512 matrices on an 8^3 grid with chi = I, so the
+    forms are their own reductions."""
+    geom = TorusGeometry(3, (8, 8, 8), np.eye(3), np.eye(3))
+    return form_eigenvalues(geom, M.reshape(8, 8, 8, 3, 3)).reshape(-1, 3)
+
+
+_DYADIC = 2**1074  # every finite double times this is an integer
+
+
+def _count_below(A, x):
+    """How many eigenvalues of the symmetric 3 x 3 integer matrix A / _DYADIC
+    lie below the double x, in exact arithmetic.
+
+    By Sylvester's law of inertia this is the number of sign changes along
+    1, D1, D2, D3, the leading principal minors of A / _DYADIC - x I.
+    """
+    xs = int(Fraction(x) * _DYADIC)
+    b = [[A[i][j] - (xs if i == j else 0) for j in range(3)] for i in range(3)]
+    d2 = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+    d3 = (
+        b[0][0] * (b[1][1] * b[2][2] - b[1][2] * b[2][1])
+        - b[0][1] * (b[1][0] * b[2][2] - b[1][2] * b[2][0])
+        + b[0][2] * (b[1][0] * b[2][1] - b[1][1] * b[2][0])
+    )
+    minors = (1, b[0][0], d2, d3)
+    assert all(minors), "bisection point hit a principal-minor eigenvalue"
+    return sum((p > 0) != (q > 0) for p, q in zip(minors, minors[1:]))
+
+
+def _exact_spd_eigenvalues(M):
+    """Ascending eigenvalues of a 3 x 3 SPD double matrix, each within one ulp:
+    bisection on the bit patterns of positive doubles (ordered like the
+    doubles) with the exact inertia count."""
+    A = [[int(Fraction(float(v)) * _DYADIC) for v in row] for row in M]
+    top = int(np.float64(2.0 * np.abs(M).sum(axis=1).max()).view(np.int64))
+    out = []
+    for i in range(3):
+        lo, hi = 0, top  # count_below(lo) <= i < count_below(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _count_below(A, float(np.int64(mid).view(np.float64))) > i:
+                hi = mid
+            else:
+                lo = mid
+        out.append(float(np.int64(lo).view(np.float64)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_three_by_three_jacobi_matches_eigvalsh(k):
+    rng = np.random.default_rng(60 + k)
+    m = 512
+    u = rng.uniform(0.5, 2.0, (m, 3))
+    scale = 10.0 ** rng.uniform(-k, k, (m, 1))
+    spectra = [
+        u * [10.0**-k, 1.0, 10.0**k],  # one small, one large eigenvalue
+        u * [10.0**-k, 10.0**-k, 1.0],  # two eigenvalues near 10^-k
+        rng.choice([-1.0, 1.0], (m, 3)) * u * 10.0 ** rng.uniform(-k, k, (m, 3)),  # indefinite
+    ]
+    for gap in (1e-9, 1e-15):
+        spectra.append(np.concatenate([scale, scale * (1.0 + gap), u[:, 2:]], axis=1))
+        spectra.append(scale * [1.0, 1.0 + gap, 1.0 + 2.0 * gap])
+    forms = [_rotated(rng, lam) for lam in spectra]
+    A = _rotated(rng, u)
+    D = 10.0 ** rng.uniform(-k, k, (m, 3))
+    graded = D[:, :, None] * A * D[:, None, :]
+    diagonal = np.zeros((m, 3, 3))
+    diag_values = u * 10.0 ** rng.uniform(-2 * k, 2 * k, (m, 3))
+    diagonal[:, range(3), range(3)] = diag_values
+    for M in forms + [graded, diagonal]:
+        got = _form_eigenvalues_3d(M)
+        reference = np.linalg.eigvalsh(M)
+        bound = 1e-13 * np.abs(reference).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - reference) <= bound)
+    # full relative accuracy on diagonal and graded forms
+    got = _form_eigenvalues_3d(diagonal)
+    assert np.all(np.abs(got / np.sort(diag_values, axis=-1) - 1.0) <= 1e-13)
+    got = _form_eigenvalues_3d(graded)
+    for i in range(24):
+        exact = _exact_spd_eigenvalues(graded[i])
+        assert np.all(np.abs(got[i] / exact - 1.0) <= 1e-13)
+
+
+def _solve_3d_case(chi, amp):
+    geom = TorusGeometry(3, (8, 8, 8), np.asarray(chi, dtype=float), 1.2 * np.eye(3))
+    coeffs = CoefficientSet(3, (0.5, 0.3))
+    case = manufacture(geom, coeffs, two_mode(geom.grid_shape, amp))
+    coeffs = coeffs.with_c0(cohomology_integrals(geom, coeffs, case.f_grid).c0)
+    return geom, coeffs, case.f_grid
+
+
+def test_newton_evaluates_reduced_field_once_and_eigenvalues_per_trial(monkeypatch):
+    chi = [[1.0, 0.1, 0.0], [0.1, 0.9, 0.1], [0.0, 0.1, 1.1]]
+    geom, coeffs, f = _solve_3d_case(chi, 0.04)
+    t = 1.0
+    counts = {"_reduced_field": 0, "_eigvals": 0}
+    recorded = {"_linearization": [], "_newton_step": []}
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    def recording(name, original):
+        def wrapper(*args):
+            recorded[name].append(original(*args))
+            return recorded[name][-1]
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    for name in recorded:
+        monkeypatch.setattr(solver, name, recording(name, getattr(solver, name)))
+    state = newton_solve(geom, coeffs, f, t)
+    monkeypatch.undo()
+    trace = state.newton_trace
+    assert trace
+    assert counts["_reduced_field"] == 1
+    assert counts["_eigvals"] == 1 + sum(entry["trials"] for entry in trace)
+    # the carried linearizations equal the public one at each iterate
+    phi = np.zeros(geom.grid_shape)
+    for lin, (dphi, _), entry in zip(recorded["_linearization"], recorded["_newton_step"], trace):
+        Q = linearize(geom, coeffs, f, t, phi).q_field
+        assert np.abs(lin.q_field - Q).max() <= 1e-12 * np.abs(Q).max()
+        phi = solver._canonical(phi + entry["step_factor"] * dphi)
+    assert np.array_equal(phi, state.phi)
+
+
+def test_newton_trace_records_trials_and_cone_rejections():
+    # a full step from phi = 0 leaves the cone once before an accepted half step
+    state = newton_solve(*_solve_3d_case(np.eye(3), 0.06), 1.0)
+    for entry in state.newton_trace:
+        assert type(entry["trials"]) is int and entry["trials"] > 0
+        assert type(entry["cone_rejections"]) is int and entry["cone_rejections"] >= 0
+        assert entry["cone_rejections"] < entry["trials"]
+        assert entry["step_factor"] == 0.5 ** (entry["trials"] - 1)
+    assert any(entry["cone_rejections"] > 0 for entry in state.newton_trace)
 
 
 @pytest.mark.parametrize(
