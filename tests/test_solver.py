@@ -495,6 +495,7 @@ def test_three_by_three_jacobi_matches_eigvalsh(k):
     A = _rotated(rng, u)
     D = 10.0 ** rng.uniform(-k, k, (m, 3))
     graded = D[:, :, None] * A * D[:, None, :]
+    graded = 0.5 * (graded + np.swapaxes(graded, -1, -2))
     diagonal = np.zeros((m, 3, 3))
     diag_values = u * 10.0 ** rng.uniform(-2 * k, 2 * k, (m, 3))
     diagonal[:, range(3), range(3)] = diag_values
