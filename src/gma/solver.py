@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .exceptions import (
     CompatibilityError,
@@ -174,27 +173,42 @@ class TorusGeometry:
 
     @functools.cached_property
     def _quarter_symbols(self):
-        """Half-spectrum symbols -pi^2 k_a k_b of (1/4) d_a d_b, stacked over pairs a <= b.
+        """Half-spectrum symbols of (1/4) d_a d_b per scheme, stacked over pairs a <= b.
 
-        A mixed symbol is zeroed where exactly one of its two axes sits at
-        Nyquist: there k_a k_b is odd under k -> -k, so it contributes
-        nothing to the real part of the full complex inverse transform.
+        "spectral": -pi^2 k_a k_b.  "fd", the centred second-order stencils:
+        -N_a^2 sin^2(pi k_a / N_a) on the diagonal and
+        -(1/4) N_a sin(2 pi k_a / N_a) N_b sin(2 pi k_b / N_b) off it.
+
+        A mixed spectral symbol is zeroed where exactly one of its two axes
+        sits at Nyquist: there k_a k_b is odd under k -> -k, so it contributes
+        nothing to the real part of the full complex inverse transform.  A
+        mixed fd symbol is zeroed where either axis sits at Nyquist, where
+        the stencil's sin(pi) vanishes but its floating-point value does not.
         """
         k = self._wavenumbers
-        nyquist = [np.abs(ka) == s // 2 for ka, s in zip(k, self.grid_shape)]
-        symbols = []
+        shape = self.grid_shape
+        nyquist = [np.abs(ka) == s // 2 for ka, s in zip(k, shape)]
+        sines = [s * np.sin(2.0 * np.pi * ka / s) for ka, s in zip(k, shape)]
+        spectral, fd = [], []
         for a, b in _pairs(self.n):
-            sym = -(np.pi**2) * k[a] * k[b]
-            if a != b:
-                sym = np.where(nyquist[a] ^ nyquist[b], 0.0, sym)
-            symbols.append(sym)
-        return np.stack(np.broadcast_arrays(*symbols))
+            if a == b:
+                spectral.append(-(np.pi**2) * k[a] ** 2)
+                fd.append(-((shape[a] * np.sin(np.pi * k[a] / shape[a])) ** 2))
+            else:
+                spectral.append(np.where(nyquist[a] ^ nyquist[b], 0.0, -(np.pi**2) * k[a] * k[b]))
+                fd.append(np.where(nyquist[a] | nyquist[b], 0.0, -0.25 * sines[a] * sines[b]))
+        return {
+            "spectral": np.stack(np.broadcast_arrays(*spectral)),
+            "fd": np.stack(np.broadcast_arrays(*fd)),
+        }
 
     @functools.cached_property
     def _reduced_symbols(self):
-        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T}, stacked over pairs."""
-        q = self._quarter_symbols
-        return (self._fold @ q.reshape(len(q), -1)).reshape(q.shape)
+        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T} per scheme, stacked over pairs."""
+        return {
+            scheme: (self._fold @ q.reshape(len(q), -1)).reshape(q.shape)
+            for scheme, q in self._quarter_symbols.items()
+        }
 
 
 def _canonical(values, shape=None):
@@ -275,38 +289,21 @@ def _filter(geom, values, symbols):
     )
 
 
+def _scheme_symbols(table, scheme):
+    """The entry of a per-scheme symbol table; ValueError for an unknown scheme."""
+    if scheme not in table:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return table[scheme]
+
+
 def _quarter_hessian(geom, values, scheme):
     """Stacked components (1/4) d_a d_b of a grid field, a <= b; shape (p,) + grid."""
-    if scheme == "spectral":
-        return _filter(geom, values, geom._quarter_symbols)
-    if scheme != "fd":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    # centered second-order stencils
-    shape = geom.grid_shape
-    ahead = [np.roll(values, -1, axis=a) for a in range(geom.n)]
-    behind = [np.roll(values, 1, axis=a) for a in range(geom.n)]
-    comps = np.empty((len(_pairs(geom.n)),) + shape)
-    for p, (a, b) in enumerate(_pairs(geom.n)):
-        if a == b:
-            h = 1.0 / shape[a]
-            dd = (ahead[a] - 2.0 * values + behind[a]) / h**2
-        else:
-            ha, hb = 1.0 / shape[a], 1.0 / shape[b]
-            pp = np.roll(ahead[a], -1, axis=b)
-            pm = np.roll(ahead[a], 1, axis=b)
-            mp = np.roll(behind[a], -1, axis=b)
-            mm = np.roll(behind[a], 1, axis=b)
-            dd = (pp - pm - mp + mm) / (4.0 * ha * hb)
-        comps[p] = 0.25 * dd
-    return comps
+    return _filter(geom, values, _scheme_symbols(geom._quarter_symbols, scheme))
 
 
 def _reduced_hessian(geom, values, scheme):
     """Stacked components of L^{-1} (1/4) Hess(values) L^{-T}, chi = L L^T."""
-    if scheme == "spectral":
-        return _filter(geom, values, geom._reduced_symbols)
-    comps = _quarter_hessian(geom, values, scheme)
-    return (geom._fold @ comps.reshape(len(comps), -1)).reshape(comps.shape)
+    return _filter(geom, values, _scheme_symbols(geom._reduced_symbols, scheme))
 
 
 def _reduced_field(geom, values, scheme):
@@ -510,21 +507,8 @@ class LinearizedResidual:
     def mean_symbol(self):
         """Symbol magnitude m(k) of the averaged-coefficient operator on the
         rfftn half spectrum."""
-        geom = self.geom
         qbar = self._pair_weights.reshape(len(self._pair_weights), -1).mean(axis=1)
-        if self.scheme == "spectral":
-            return -np.tensordot(qbar, geom._quarter_symbols, axes=1)
-        # exact symbol of the centered stencils; positive away from k=0
-        shape = geom.grid_shape
-        k = geom._wavenumbers
-        s = [np.sin(2.0 * np.pi * k[a] / shape[a]) * shape[a] for a in range(geom.n)]
-        m = np.zeros(geom._quarter_symbols.shape[1:])
-        for p, (a, b) in enumerate(_pairs(geom.n)):
-            if a == b:
-                m += qbar[p] * 4.0 * shape[a] ** 2 * np.sin(np.pi * k[a] / shape[a]) ** 2
-            else:
-                m += qbar[p] * s[a] * s[b]
-        return 0.25 * m
+        return -np.tensordot(qbar, self.geom._quarter_symbols[self.scheme], axes=1)
 
 
 def linearize(geom, coeffs, f_grid, t, phi, slack=0.0, scheme="spectral"):
@@ -561,17 +545,86 @@ def _linearization(geom, coeffs, t, reduced, lam, scheme):
 # Newton with bordered mean-zero/slack system
 # ---------------------------------------------------------------------------
 
+_GMRES_RTOL = 1e-12
+_GMRES_RESTART = 64
+_GMRES_MAXITER = 40
+
+
+def _gmres(operator, b):
+    """Restarted GMRES from x0 = 0 (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7(3), 1986).
+
+    Arnoldi with modified Gram-Schmidt; Givens rotations keep the residual
+    of the small least-squares problem.  A cycle ends when that residual
+    reaches _GMRES_RTOL |b| or after _GMRES_RESTART iterations; then the
+    true residual b - A x is recomputed and tested against _GMRES_RTOL |b|.
+    A cycle that does not lower the true residual, or _GMRES_MAXITER
+    cycles, raise LinearSolveStallError.  Returns x, the iteration count and
+    the true relative residual.
+    """
+    restart = _GMRES_RESTART
+    b_norm = np.linalg.norm(b)
+    tol = _GMRES_RTOL * b_norm
+    x = np.zeros_like(b)
+    r, r_norm = b, b_norm
+    iterations = 0
+    for _ in range(_GMRES_MAXITER):
+        basis = [r / r_norm]
+        hess = np.zeros((restart, restart))
+        cs, sn = np.zeros(restart), np.zeros(restart)
+        g = np.zeros(restart + 1)
+        g[0] = r_norm
+        for j in range(restart):
+            w = operator(basis[j])
+            iterations += 1
+            for i, v in enumerate(basis):
+                hess[i, j] = w @ v
+                w -= hess[i, j] * v
+            h_next = np.linalg.norm(w)
+            for i in range(j):
+                hess[i, j], hess[i + 1, j] = (cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
+                                              cs[i] * hess[i + 1, j] - sn[i] * hess[i, j])
+            rho = np.hypot(hess[j, j], h_next)
+            cs[j], sn[j] = hess[j, j] / rho, h_next / rho
+            hess[j, j] = rho
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= tol:
+                break
+            basis.append(w / h_next)
+        k = j + 1
+        for coef, v in zip(np.linalg.solve(hess[:k, :k], g[:k]), basis):
+            x += coef * v
+        r = b - operator(x)
+        new_norm = np.linalg.norm(r)
+        if new_norm <= tol:
+            return x, iterations, float(new_norm / b_norm)
+        if not new_norm < r_norm:
+            raise LinearSolveStallError(
+                f"inner GMRES stalled at relative residual {new_norm / b_norm:.3e} "
+                f"after {iterations} iterations"
+            )
+        r_norm = new_norm
+    raise LinearSolveStallError(
+        f"inner GMRES stopped at relative residual {r_norm / b_norm:.3e} "
+        f"after {iterations} iterations ({_GMRES_MAXITER} restarts)"
+    )
+
+
 def _newton_step(geom, lin, res):
-    """Solve the bordered system J (dphi, ds) = (-res, 0), mean(dphi) = 0."""
+    """Solve the bordered system J (dphi, ds) = (-res, 0), mean(dphi) = 0.
+
+    The preconditioner P^{-1} inverts the averaged-coefficient operator with
+    its border: (rho, v) -> (psi, ds), psi_hat = inverse_symbol * rho_hat + v
+    on the constant mode, ds = -mean(rho).  GMRES runs on J P^{-1}, so it
+    minimises the true residual, and
+
+        J P^{-1} (rho, v) = (sum_p w_p F^{-1}(sym_p inverse_symbol rho_hat) + mean(rho), v)
+
+    costs one rfftn and one batched irfftn per iteration.  Returns dphi, ds,
+    the GMRES iteration count and the achieved true relative residual.
+    """
     N = geom.npoints
     shape = geom.grid_shape
-
-    def matvec(u):
-        psi = u[:N].reshape(shape)
-        ds = u[N]
-        out_field = lin.apply(psi) + lin.slack_direction * ds
-        return np.concatenate([out_field.ravel(), [psi.mean()]])
-
     symbol = lin.mean_symbol()
     if np.any(symbol.flat[1:] <= 0):
         raise LinearSolveStallError(
@@ -579,25 +632,23 @@ def _newton_step(geom, lin, res):
         )
     inverse_symbol = np.zeros_like(symbol)
     np.divide(-1.0, symbol, out=inverse_symbol, where=symbol > 0)
+    kernel = geom._quarter_symbols[lin.scheme] * inverse_symbol
+    axes = range(1, geom.n + 1)
 
-    def precond(v):
-        rho = v[:N].reshape(shape)
-        psi_hat = np.fft.rfftn(rho) * inverse_symbol
-        psi_hat.flat[0] = v[N] * N
-        psi = np.fft.irfftn(psi_hat, s=shape, axes=range(len(shape)))
-        return np.concatenate([psi.ravel(), [-rho.mean()]])
+    def operator(y):
+        rho_hat = np.fft.rfftn(y[:N].reshape(shape))
+        comps = np.fft.irfftn(kernel * rho_hat, s=shape, axes=axes)
+        out = np.empty_like(y)
+        out[:N] = np.einsum("p...,p...->...", lin._pair_weights, comps).ravel()
+        out[:N] -= lin.slack_direction * rho_hat.flat[0].real / N
+        out[N] = y[N]
+        return out
 
-    op = scipy.sparse.linalg.LinearOperator((N + 1, N + 1), matvec=matvec)
-    pre = scipy.sparse.linalg.LinearOperator((N + 1, N + 1), matvec=precond)
-    rhs = np.concatenate([(-res).ravel(), [0.0]])
-    sol, info = scipy.sparse.linalg.gmres(
-        op, rhs, M=pre, rtol=1e-12, atol=0.0, restart=64, maxiter=40
-    )
-    if info != 0:
-        raise LinearSolveStallError(f"inner GMRES did not converge (info={info})")
-    dphi = sol[:N].reshape(shape)
-    dphi = dphi - dphi.mean()
-    return dphi, float(sol[N])
+    rhs = np.append(-res.ravel(), 0.0)
+    y, iterations, linear_residual = _gmres(operator, rhs)
+    rho_hat = np.fft.rfftn(y[:N].reshape(shape))
+    dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape)
+    return dphi, float(-rho_hat.flat[0].real / N), iterations, linear_residual
 
 
 @dataclass
@@ -642,8 +693,9 @@ def newton_solve(
     is built once per call and eigenvalues are taken once per trial.
 
     Each newton_trace entry records the iteration, the residual after the
-    step, the accepted damping factor, the line-search trials and how many
-    of them left the cone.
+    step, the accepted damping factor, the line-search trials, how many of
+    them left the cone, the GMRES iterations of the step and the true
+    relative residual GMRES reached.
     """
     f = _check_f_grid(geom, f_grid)
     phi = (
@@ -666,7 +718,7 @@ def newton_solve(
         if res_sup <= tol:
             return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)
         lin = _linearization(geom, coeffs, t, reduced, lam, scheme)
-        dphi, ds = _newton_step(geom, lin, res)
+        dphi, ds, gmres_iterations, linear_residual = _newton_step(geom, lin, res)
         d_reduced = _assemble(_reduced_hessian(geom, dphi, scheme))
         alpha = 1.0
         accepted = False
@@ -700,7 +752,8 @@ def newton_solve(
             )
         trace.append(
             {"iteration": it, "residual_sup": res_sup, "step_factor": alpha,
-             "trials": trials, "cone_rejections": cone_rejections}
+             "trials": trials, "cone_rejections": cone_rejections,
+             "gmres_iterations": gmres_iterations, "linear_residual": linear_residual}
         )
     if res_sup <= tol:
         return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)

@@ -30,6 +30,12 @@ def _child_env():
 
 
 @pytest.fixture
+def child_env():
+    """Environment for a child interpreter that imports the gma under test."""
+    return _child_env()
+
+
+@pytest.fixture
 def run_gma_cli():
     """Run ``python -m gma.cli ARGV`` in a child interpreter.
 

@@ -1,8 +1,11 @@
-"""Module boundaries: no gma module imports another module's private names."""
+"""Module boundaries: no gma module imports another module's private names,
+and the solver loads without scipy."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import gma
@@ -21,3 +24,11 @@ def test_no_private_cross_module_imports():
                     if alias.name.startswith("_")
                 ]
     assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)
+
+
+def test_solver_imports_without_scipy_sparse(child_env):
+    code = "import sys, gma.solver; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert "scipy.sparse" not in done.stdout, done.stdout

@@ -12,6 +12,7 @@ from gma import solver
 from gma.exceptions import (
     CompatibilityError,
     ConeBreachError,
+    LinearSolveStallError,
     StepUnderflowError,
 )
 from gma.kernel import CoefficientSet, elem_sym
@@ -353,6 +354,40 @@ def test_half_spectrum_hessian_matches_full_spectrum(shape):
     assert err <= 1e-12 * np.abs(H).max()
 
 
+def _stencil_quarter_hessian(values):
+    """(1/4) d_a d_b by the centred second-order stencils, stacked over pairs a <= b."""
+    shape = values.shape
+    n = len(shape)
+    ahead = [np.roll(values, -1, axis=a) for a in range(n)]
+    behind = [np.roll(values, 1, axis=a) for a in range(n)]
+    comps = []
+    for a in range(n):
+        for b in range(a, n):
+            if a == b:
+                dd = (ahead[a] - 2.0 * values + behind[a]) * shape[a] ** 2
+            else:
+                pp = np.roll(ahead[a], -1, axis=b)
+                pm = np.roll(ahead[a], 1, axis=b)
+                mp = np.roll(behind[a], -1, axis=b)
+                mm = np.roll(behind[a], 1, axis=b)
+                dd = (pp - pm - mp + mm) * shape[a] * shape[b] / 4.0
+            comps.append(0.25 * dd)
+    return np.stack(comps)
+
+
+@pytest.mark.parametrize("shape", [(32,), (32, 32), (12, 20), (8, 10, 12), (16, 16, 16)])
+def test_fd_multiplier_matches_stencil(shape):
+    geom, phi, _ = _rough_case(shape, 22)
+    quarter = _stencil_quarter_hessian(phi)
+    scale = np.abs(quarter).max()
+    assert np.abs(solver._quarter_hessian(geom, phi, "fd") - quarter).max() <= 1e-13 * scale
+    H = 4.0 * solver._assemble(quarter)
+    assert np.abs(potential_hessian(geom, phi, scheme="fd") - H).max() <= 1e-13 * 4.0 * scale
+    M, _ = _reduced_oracle(geom, H)
+    got = solver._reduced_field(geom, phi, "fd")
+    assert np.abs(got - M).max() <= 1e-13 * np.abs(M).max()
+
+
 @pytest.mark.parametrize("shape", FOLD_SHAPES)
 def test_reduced_field_matches_sandwiched_full_spectrum_hessian(shape):
     geom, phi, H = _rough_case(shape, 21)
@@ -552,7 +587,7 @@ def test_newton_evaluates_reduced_field_once_and_eigenvalues_per_trial(monkeypat
     assert counts["_eigvals"] == 1 + sum(entry["trials"] for entry in trace)
     # the carried linearizations equal the public one at each iterate
     phi = np.zeros(geom.grid_shape)
-    for lin, (dphi, _), entry in zip(recorded["_linearization"], recorded["_newton_step"], trace):
+    for lin, (dphi, *_), entry in zip(recorded["_linearization"], recorded["_newton_step"], trace):
         Q = linearize(geom, coeffs, f, t, phi).q_field
         assert np.abs(lin.q_field - Q).max() <= 1e-12 * np.abs(Q).max()
         phi = solver._canonical(phi + entry["step_factor"] * dphi)
@@ -567,7 +602,53 @@ def test_newton_trace_records_trials_and_cone_rejections():
         assert type(entry["cone_rejections"]) is int and entry["cone_rejections"] >= 0
         assert entry["cone_rejections"] < entry["trials"]
         assert entry["step_factor"] == 0.5 ** (entry["trials"] - 1)
+        assert type(entry["gmres_iterations"]) is int
+        assert 0 < entry["gmres_iterations"] <= solver._GMRES_RESTART * solver._GMRES_MAXITER
+        assert 0.0 <= entry["linear_residual"] <= solver._GMRES_RTOL
     assert any(entry["cone_rejections"] > 0 for entry in state.newton_trace)
+
+
+def _counted(operator):
+    calls = [0]
+
+    def wrapper(v):
+        calls[0] += 1
+        return operator(v)
+
+    return wrapper, calls
+
+
+def test_gmres_stall_raises_after_one_cycle_and_names_residual():
+    # the cyclic shift maps every Krylov space of e_0 orthogonally to e_0:
+    # no restart cycle can lower the residual
+    b = np.zeros(4 * solver._GMRES_RESTART)
+    b[0] = 1.0
+    operator, calls = _counted(lambda v: np.roll(v, 1))
+    with pytest.raises(LinearSolveStallError, match=r"relative residual 1\.000e\+00"):
+        solver._gmres(operator, b)
+    assert calls[0] == solver._GMRES_RESTART + 1
+
+
+def test_gmres_gives_up_after_maxiter_cycles_and_names_residual():
+    # I + 0.999 S has its spectrum on a circle of radius 0.999 around 1, so
+    # each cycle lowers the residual by about 0.999^restart
+    b = np.zeros(4 * solver._GMRES_RESTART)
+    b[0] = 1.0
+    operator, calls = _counted(lambda v: v + 0.999 * np.roll(v, 1))
+    with pytest.raises(LinearSolveStallError, match=r"relative residual \d\.\d{3}e-\d\d"):
+        solver._gmres(operator, b)
+    assert calls[0] == solver._GMRES_MAXITER * (solver._GMRES_RESTART + 1)
+
+
+def test_gmres_solves_to_true_relative_residual():
+    rng = np.random.default_rng(3)
+    A = np.eye(200) + 0.3 * rng.standard_normal((200, 200)) / np.sqrt(200)
+    b = rng.standard_normal(200)
+    x, iterations, rel = solver._gmres(lambda v: A @ v, b)
+    true_rel = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert rel == pytest.approx(true_rel, rel=1e-12)
+    assert rel <= solver._GMRES_RTOL
+    assert 0 < iterations <= solver._GMRES_RESTART
 
 
 @pytest.mark.parametrize(
@@ -685,6 +766,19 @@ def test_manufactured_recovery_spectral():
     assert state.residual_sup <= 1e-10
     assert state.min_cone_margin > 0.0
     assert all(s["min_cone_margin"] > 0.0 for s in state.stages)
+
+
+def test_manufactured_recovery_at_256_squared():
+    geom = TorusGeometry(2, (256, 256), np.eye(2), 1.2 * np.eye(2))
+    coeffs = CoefficientSet(2, (0.5,))
+    phi_star = trig_polynomial(geom.grid_shape, 0.0, [
+        {"amplitude": 0.3 / (4.0 * PI2), "wave": (1, 0)},
+        {"amplitude": 0.3 / (8.0 * PI2), "wave": (1, 2), "phase": 0.7},
+    ])
+    case = manufacture(geom, coeffs, phi_star)
+    state = continuity_solve(geom, coeffs, case.f_grid)
+    assert np.max(np.abs(state.phi - case.phi_star)) <= 1e-8
+    assert state.residual_sup <= 1e-10
 
 
 def test_manufactured_recovery_fd_second_order():
