@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .kernel import margin_field
-from .solver import cone_margin_field, form_eigenvalues, potential_hessian
+from .solver import cone_margin_field, eigenvalue_field, form_eigenvalues
 
 __all__ = [
     "sphere_area",
@@ -51,25 +50,19 @@ def sphere_area(n):
     return 2.0 * math.pi**n / math.factorial(n - 1)
 
 
-def _radial_moment(rho, n, weight=None):
-    """integral_0^1 rho(t) t^{2n-1} weight(t) dt by adaptive quadrature."""
-    if weight is None:
-        integrand = lambda t: rho(t) * t ** (2 * n - 1)
-    else:
-        integrand = lambda t: rho(t) * t ** (2 * n - 1) * weight(t)
-    value, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
-    return value
+_BUMP = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3, ascending powers
 
 
 @dataclass(frozen=True)
 class RadialMollifier:
-    """Radial kernel rho on [0,1] for scale-delta averaging in C^n.
+    """Polynomial radial kernel rho(t) = sum_k coeffs[k] t^k on [0,1] for
+    scale-delta averaging in C^n.
 
     Normalized so that |S^{2n-1}| * integral rho(t) t^{2n-1} dt = 1; the
-    quadrature defect of that identity is recomputed and stored.
+    rounding defect of that identity is recomputed and stored.
     """
 
-    rho: object  # callable [0,1] -> reals
+    coeffs: tuple  # ascending powers of t
     n: int
     name: str = "custom"
     normalization_defect: float = None
@@ -77,21 +70,40 @@ class RadialMollifier:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("RadialMollifier: n must be >= 1")
-        defect = abs(sphere_area(self.n) * _radial_moment(self.rho, self.n) - 1.0)
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        mass, _ = self.moments(2 * self.n - 1)
+        defect = abs(sphere_area(self.n) * mass - 1.0)
         object.__setattr__(self, "normalization_defect", float(defect))
+
+    def rho(self, t):
+        return np.polynomial.polynomial.polyval(t, self.coeffs)
+
+    def moments(self, p, a=0.0):
+        """(integral_a^1 rho t^p dt, integral_a^1 rho t^p log(t) dt), 0 <= a <= 1.
+
+        Exact finite sums from integral t^(q-1) log(t) dt = t^q (log t - 1/q) / q,
+        with the a^q log(a) term taken as 0 at a = 0.
+        """
+        log_a = math.log(a) if a > 0.0 else 0.0
+        plain = logged = 0.0
+        for k, c in enumerate(self.coeffs):
+            q = k + p + 1
+            a_q = a**q
+            plain += c * (1.0 - a_q) / q
+            logged -= c * (1.0 / q + a_q * (log_a - 1.0 / q)) / q
+        return plain, logged
 
     @classmethod
     def polynomial(cls, n):
-        """Bump kernel c*(1-t^2)^3, normalized numerically."""
-        raw = lambda t: (1.0 - t * t) ** 3
-        scale = 1.0 / (sphere_area(n) * _radial_moment(raw, n))
-        return cls(lambda t: scale * (1.0 - t * t) ** 3, n, name="polynomial")
+        """Bump kernel c*(1-t^2)^3, normalized by its exact moment."""
+        mass, _ = cls(_BUMP, n).moments(2 * n - 1)
+        scale = 1.0 / (sphere_area(n) * mass)
+        return cls(tuple(scale * c for c in _BUMP), n, name="polynomial")
 
     @classmethod
     def constant(cls, n):
         """Constant kernel 2n/|S^{2n-1}| (closed-form test kernel)."""
-        value = 2.0 * n / sphere_area(n)
-        return cls(lambda t: value + 0.0 * np.asarray(t), n, name="constant")
+        return cls((2.0 * n / sphere_area(n),), n, name="constant")
 
 
 @dataclass(frozen=True)
@@ -158,8 +170,8 @@ def mollify(potential, mollifier, delta, x, radial_nodes=48, angular_nodes=128):
     trapezoid rule on full circles).  The log part uses the circle mean
     of log|.|^2, which equals 2*log(max(|x-center|, radius)); when the
     ball avoids the singularity this reproduces the log part exactly, and
-    otherwise only a 1-d radial integral with the bounded integrand
-    t*log(max(w, delta*t)) remains.
+    otherwise the radial integral of rho(t) t log(max(w, delta t)),
+    split at w/delta, is a finite sum of the mollifier's exact moments.
     """
     if delta <= 0:
         raise ValueError("mollify: delta must be positive")
@@ -169,7 +181,6 @@ def mollify(potential, mollifier, delta, x, radial_nodes=48, angular_nodes=128):
     if not potential.domain.contains_ball(x, delta):
         raise ValueError("mollify: ball of radius delta escapes the domain")
 
-    rho = mollifier.rho
     total = 0.0
     if potential.gamma:
         w = math.hypot(x[0] - potential.center[0], x[1] - potential.center[1])
@@ -177,20 +188,12 @@ def mollify(potential, mollifier, delta, x, radial_nodes=48, angular_nodes=128):
             total += potential.gamma * 2.0 * math.log(w)
         else:
             # 2 pi * int rho(t) t * 2 log(max(w, delta t)) dt, split at w/delta
-            def tail(t):
-                return rho(t) * t * 2.0 * np.log(delta * t)
-
-            head = 0.0
-            if w > 0.0:
-                moment, _ = scipy.integrate.quad(
-                    lambda t: rho(t) * t, 0.0, w / delta,
-                    epsabs=1e-14, epsrel=1e-12,
-                )
-                head = moment * 2.0 * math.log(w)
-            log_tail, _ = scipy.integrate.quad(
-                tail, w / delta, 1.0, epsabs=1e-14, epsrel=1e-12
+            mass, _ = mollifier.moments(1)
+            tail, log_tail = mollifier.moments(1, w / delta)
+            head = (mass - tail) * math.log(w) if w > 0.0 else 0.0
+            total += potential.gamma * 4.0 * math.pi * (
+                head + tail * math.log(delta) + log_tail
             )
-            total += potential.gamma * 2.0 * math.pi * (head + log_tail)
     if potential.smooth is not None:
         nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
         t = 0.5 * (nodes + 1.0)
@@ -199,7 +202,7 @@ def mollify(potential, mollifier, delta, x, radial_nodes=48, angular_nodes=128):
         ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         pts = np.asarray(x) + delta * t[:, None, None] * ring[None, :, :]
         vals = potential.smooth(pts).mean(axis=1)  # circle means
-        total += 2.0 * np.pi * float(np.sum(wt * rho(t) * t * vals))
+        total += 2.0 * np.pi * float(np.sum(wt * mollifier.rho(t) * t * vals))
     return total
 
 
@@ -260,17 +263,17 @@ def lelong_level(potential, x, delta_list, r, radial=64, angular=64):
 def compute_cn(mollifier, n=None):
     """Normalization constant 2 / (|S^{2n-1}| * log-moment + 3^{2n-1}/2^{2n-3}).
 
-    The log-weighted radial moment integral is evaluated adaptively; the
-    mollifier must satisfy its normalization identity to 1e-6.
+    The log-weighted radial moment is an exact finite sum; the mollifier
+    must satisfy its normalization identity to 1e-6.
     """
     if n is not None and n != mollifier.n:
         raise ValueError("compute_cn: n disagrees with the mollifier dimension")
     if mollifier.normalization_defect > 1e-6:
         raise ValueError("compute_cn: mollifier is not normalized")
     n = mollifier.n
-    moment = _radial_moment(mollifier.rho, n, weight=lambda t: np.log(1.0 / t))
+    log_moment = -mollifier.moments(2 * n - 1)[1]  # integral rho t^{2n-1} log(1/t)
     tail = 3.0 ** (2 * n - 1) * 2.0 ** (3 - 2 * n)
-    return 2.0 / (sphere_area(n) * moment + tail)
+    return 2.0 / (sphere_area(n) * log_moment + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +439,6 @@ def _torus_kernel(geom, delta, rho):
     return w / total
 
 
-def _omega_of(geom, field, scheme):
-    field = np.asarray(field, dtype=float)
-    if field.shape == geom.grid_shape + (geom.n, geom.n):
-        return field
-    if field.shape == geom.grid_shape:
-        return geom.omega0 + 0.25 * potential_hessian(geom, field, scheme)
-    raise ValueError("check_uniform_cone: field must be a potential or Hessian field")
-
-
 def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
                        chi0_scalings=(1.0,), mollifier=None, mu=0.0,
                        scheme="spectral"):
@@ -466,20 +460,25 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
         raise ValueError("check_uniform_cone: epsilon must be in [0, 1)")
     if mollifier is None:
         mollifier = RadialMollifier.polynomial(1)
-    omega = _omega_of(geom, field, scheme) + mu * geom.chi
+    field = np.asarray(field, dtype=float)
+    if field.shape == geom.grid_shape:
+        eigenvalues = lambda smooth: eigenvalue_field(geom, smooth, scheme)
+    elif field.shape == geom.grid_shape + (geom.n, geom.n):
+        eigenvalues = lambda smooth: form_eigenvalues(geom, smooth)
+    else:
+        raise ValueError("check_uniform_cone: field must be a potential or Hessian field")
+    # The torus kernel is even, so its transform is real; trailing (n, n)
+    # axes of a form field ride along.  The eigenvalues of
+    # L^{-1} (omega + mu chi) L^{-T} are those of M + mu I.
+    axes = tuple(range(geom.n))
+    field_hat = np.fft.rfftn(field, axes=axes)
     rows = []
     worst = math.inf
     for delta in deltas:
-        w = _torus_kernel(geom, delta, mollifier.rho)
-        w_hat = np.fft.fftn(w)
-        smooth = np.empty_like(omega)
-        for i in range(geom.n):
-            for j in range(geom.n):
-                smooth[..., i, j] = np.fft.ifftn(
-                    np.fft.fftn(omega[..., i, j]) * w_hat
-                ).real
-        smooth = 0.5 * (smooth + np.swapaxes(smooth, -1, -2))
-        lam = form_eigenvalues(geom, smooth)
+        w_hat = np.fft.rfftn(_torus_kernel(geom, delta, mollifier.rho)).real
+        w_hat = w_hat.reshape(w_hat.shape + (1,) * (field.ndim - geom.n))
+        smooth = np.fft.irfftn(field_hat * w_hat, s=geom.grid_shape, axes=axes)
+        lam = eigenvalues(smooth) + mu
         for s in scalings:
             if lam[..., 0].min() <= 0.0:
                 min_margin = -math.inf

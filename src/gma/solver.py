@@ -40,9 +40,7 @@ from .kernel import CoefficientSet, elem_sym_all, margin_field, source_floor
 
 __all__ = [
     "TorusGeometry",
-    "PotentialField",
     "trig_polynomial",
-    "hessian_field",
     "potential_hessian",
     "eigenvalue_field",
     "form_eigenvalues",
@@ -220,30 +218,6 @@ def _canonical(values, shape=None):
     return v - v.mean()
 
 
-class PotentialField:
-    """Mean-zero representative of a grid potential.
-
-    Construction subtracts the grid mean, so two inputs differing by a
-    constant map to the same representative; all solver entry points
-    canonicalize the same way, making the residual gauge invariant.
-    """
-
-    def __init__(self, values):
-        self.values = _canonical(values)
-        if abs(self.values.mean()) > 1e-13:
-            raise ValueError("PotentialField: mean-zero normalization failed")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-def _values_of(phi, geom):
-    if isinstance(phi, PotentialField):
-        return _canonical(phi.values, geom.grid_shape)
-    return _canonical(phi, geom.grid_shape)
-
-
 def trig_polynomial(grid_shape, constant=0.0, terms=()):
     """Sample  constant + sum_j amp_j cos(2 pi wave_j . x + phase_j)  on the grid."""
     shape = tuple(int(s) for s in grid_shape)
@@ -313,15 +287,7 @@ def _reduced_field(geom, values, scheme):
 
 def potential_hessian(geom, phi, scheme="spectral"):
     """Second derivative field of the potential, shape grid + (n, n)."""
-    return 4.0 * _assemble(_quarter_hessian(geom, _values_of(phi, geom), scheme))
-
-
-def hessian_field(geom, phi, scheme="spectral"):
-    """A(x) = chi^{-1} (omega0 + (1/4) Hess(phi)(x)), shape grid + (n, n)."""
-    H = potential_hessian(geom, phi, scheme)
-    omega = geom.omega0 + 0.25 * H
-    chi_inv = np.linalg.inv(geom.chi)
-    return np.einsum("ij,...jk->...ik", chi_inv, omega)
+    return 4.0 * _assemble(_quarter_hessian(geom, _canonical(phi, geom.grid_shape), scheme))
 
 
 _JACOBI_SWEEPS = 4
@@ -395,7 +361,7 @@ def form_eigenvalues(geom, omega):
 
 def eigenvalue_field(geom, phi, scheme="spectral"):
     """Ascending generalized eigenvalues lam(x), shape grid + (n,)."""
-    return _eigvals(_reduced_field(geom, _values_of(phi, geom), scheme))
+    return _eigvals(_reduced_field(geom, _canonical(phi, geom.grid_shape), scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +486,7 @@ def linearize(geom, coeffs, f_grid, t, phi, slack=0.0, scheme="spectral"):
         P = sum_k a_k sum_j (-1)^j e_{k-1-j}(M) M^j,   Q = L^{-T} P L^{-1}.
     """
     _check_f_grid(geom, f_grid)
-    reduced = _reduced_field(geom, _values_of(phi, geom), scheme)
+    reduced = _reduced_field(geom, _canonical(phi, geom.grid_shape), scheme)
     return _linearization(geom, coeffs, t, reduced, _eigvals(reduced), scheme)
 
 
@@ -699,7 +665,7 @@ def newton_solve(
     """
     f = _check_f_grid(geom, f_grid)
     phi = (
-        np.zeros(geom.grid_shape) if phi0 is None else _values_of(phi0, geom)
+        np.zeros(geom.grid_shape) if phi0 is None else _canonical(phi0, geom.grid_shape)
     )
     slack = float(slack0)
     reduced = _reduced_field(geom, phi, scheme)
@@ -814,7 +780,7 @@ def manufacture(geom, coeffs, phi_star, scheme="spectral"):
     evaluated with the same discrete operators used by the solver, so the
     endpoint residual of phi_star vanishes identically.
     """
-    phi = _values_of(phi_star, geom)
+    phi = _canonical(phi_star, geom.grid_shape)
     lam = eigenvalue_field(geom, phi, scheme)
     _require_positive(
         lam, "manufacture: phi_star leaves the positive cone", report_value=False

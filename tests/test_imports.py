@@ -1,5 +1,5 @@
 """Module boundaries: no gma module imports another module's private names,
-and the solver loads without scipy."""
+and no gma module loads scipy."""
 
 from __future__ import annotations
 
@@ -26,9 +26,12 @@ def test_no_private_cross_module_imports():
     assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)
 
 
-def test_solver_imports_without_scipy_sparse(child_env):
-    code = "import sys, gma.solver; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def test_package_imports_without_scipy(child_env):
+    code = (
+        "import sys, gma.cli, gma.gridio, gma.kernel, gma.psh, gma.schemas, gma.solver, gma.toric; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
-    assert "scipy.sparse" not in done.stdout, done.stdout
+    assert done.stdout.strip() == "[]", done.stdout

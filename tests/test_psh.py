@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from gma.kernel import CoefficientSet
+from gma.kernel import CoefficientSet, margin_field
 from gma.psh import (
     KAPPA,
     Box,
@@ -23,7 +23,13 @@ from gma.psh import (
     smooth_potential,
     sphere_area,
 )
-from gma.solver import TorusGeometry, cone_margin_field, trig_polynomial
+from gma.solver import (
+    TorusGeometry,
+    cone_margin_field,
+    form_eigenvalues,
+    potential_hessian,
+    trig_polynomial,
+)
 
 BOX = Box((-1.0, -1.0), (1.0, 1.0))
 PI2 = math.pi**2
@@ -115,6 +121,28 @@ def test_mollify_log_near_singularity_constant_kernel_closed_form():
     value = mollify(phi, kernel, delta, (w, 0.0))
     expected = gamma * (2.0 * math.log(delta) - 1.0 + (w / delta) ** 2)
     assert value == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.999])
+def test_mollify_log_near_singularity_polynomial_kernel_quadrature(ratio):
+    # 0 <= w < delta with the polynomial kernel: the exact moment sums
+    # against adaptive quadrature of the same split radial integral
+    kernel = RadialMollifier.polynomial(1)
+    gamma, delta = 0.7, 0.25
+    w = ratio * delta
+    phi = SingularPotential(gamma, (0.0, 0.0), None, BOX)
+    head = 0.0
+    if w > 0.0:
+        mass, _ = scipy.integrate.quad(
+            lambda t: kernel.rho(t) * t, 0.0, ratio, epsabs=1e-14, epsrel=1e-13
+        )
+        head = mass * 2.0 * math.log(w)
+    tail, _ = scipy.integrate.quad(
+        lambda t: kernel.rho(t) * t * 2.0 * math.log(delta * t), ratio, 1.0,
+        epsabs=1e-14, epsrel=1e-13,
+    )
+    expected = gamma * 2.0 * math.pi * (head + tail)
+    assert mollify(phi, kernel, delta, (w, 0.0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mollify_domain_and_delta_guards():
@@ -236,7 +264,7 @@ def test_cn_polynomial_kernel_symbolic_oracle(n):
 
 
 def test_cn_rejects_unnormalized_kernel():
-    bad = RadialMollifier(lambda t: 1.0 + 0.0 * np.asarray(t), 2)
+    bad = RadialMollifier((1.0,), 2)
     assert bad.normalization_defect > 1e-6
     with pytest.raises(ValueError):
         compute_cn(bad)
@@ -495,3 +523,60 @@ def test_uniform_cone_accepts_hessian_field_input():
     report = check_uniform_cone(geom, coeffs, 1.0, omega, 0.4, [0.1])
     assert report.passed
     assert report.worst_margin == pytest.approx(0.5, rel=1e-12)
+
+
+def _uniform_cone_rows_oracle(geom, coeffs, t, field, deltas, scalings, mu, scheme):
+    """(min_margin, argmin) per row by entrywise complex FFT convolution of
+    omega0 + mu chi + (1/4) Hess(phi), or of a given form field + mu chi."""
+    field = np.asarray(field, dtype=float)
+    if field.shape == geom.grid_shape:
+        field = geom.omega0 + 0.25 * potential_hessian(geom, field, scheme)
+    omega = field + mu * geom.chi
+    rho = RadialMollifier.polynomial(1).rho
+    dist = [np.minimum(np.arange(m) / m, 1.0 - np.arange(m) / m) for m in geom.grid_shape]
+    r = np.sqrt(sum(g * g for g in np.meshgrid(*dist, indexing="ij")))
+    rows = []
+    for delta in deltas:
+        w = np.where(r <= delta, rho(np.minimum(r / delta, 1.0)), 0.0)
+        w_hat = np.fft.fftn(w / w.sum())
+        smooth = np.empty_like(omega)
+        for i in range(geom.n):
+            for j in range(geom.n):
+                smooth[..., i, j] = np.fft.ifftn(np.fft.fftn(omega[..., i, j]) * w_hat).real
+        lam = form_eigenvalues(geom, 0.5 * (smooth + np.swapaxes(smooth, -1, -2)))
+        assert lam[..., 0].min() > 0.0
+        for s in scalings:
+            margins = margin_field(coeffs, t, lam / s)
+            argmin = np.unravel_index(np.argmin(margins), margins.shape)
+            rows.append((float(margins[argmin]), tuple(int(i) for i in argmin)))
+    return rows
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (8, 10, 12)])
+@pytest.mark.parametrize(
+    "kind, scheme", [("potential", "spectral"), ("potential", "fd"), ("form", "spectral")]
+)
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_uniform_cone_matches_entrywise_convolution(shape, scheme, kind, mu):
+    n = len(shape)
+    rng = np.random.default_rng(7 * n + (kind == "form"))
+    a = rng.standard_normal((n, n))
+    chi = a @ a.T + n * np.eye(n)
+    b = rng.standard_normal((n, n))
+    omega0 = b @ b.T + 2.0 * n * np.eye(n)
+    geom = TorusGeometry(n, shape, chi, omega0)
+    coeffs = CoefficientSet(n, (0.5,) * (n - 1))
+    if kind == "potential":
+        field = 2e-3 * rng.standard_normal(shape)
+    else:
+        noise = 0.2 * rng.standard_normal(shape + (n, n))
+        field = omega0 + noise + np.swapaxes(noise, -1, -2)
+    deltas, scalings = (0.1, 0.25), (1.0, 0.7)
+    report = check_uniform_cone(geom, coeffs, 1.0, field, 0.0, deltas, scalings,
+                                mu=mu, scheme=scheme)
+    expected = _uniform_cone_rows_oracle(geom, coeffs, 1.0, field, deltas, scalings,
+                                         mu, scheme)
+    assert len(report.rows) == len(expected)
+    for row, (margin, argmin) in zip(report.rows, expected):
+        assert row["min_margin"] == pytest.approx(margin, abs=1e-12)
+        assert row["argmin"] == argmin

@@ -18,7 +18,6 @@ from gma.exceptions import (
 from gma.kernel import CoefficientSet, elem_sym
 from gma.solver import (
     ClassPathReport,
-    PotentialField,
     TorusGeometry,
     class_path_probe,
     cohomology_integrals,
@@ -26,7 +25,6 @@ from gma.solver import (
     continuity_solve,
     eigenvalue_field,
     form_eigenvalues,
-    hessian_field,
     linearize,
     manufacture,
     newton_solve,
@@ -75,15 +73,6 @@ def test_geometry_validation():
         TorusGeometry(2, (8, 8), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
     with pytest.raises(ValueError):
         TorusGeometry(2, (8, 8), np.eye(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
-
-
-def test_hessian_field_constant_background():
-    chi = np.array([[2.0, 1.0], [1.0, 3.0]])
-    omega0 = np.array([[1.5, 0.5], [0.5, 2.0]])
-    geom = geom2(16, chi, omega0)
-    A = hessian_field(geom, np.zeros(geom.grid_shape))
-    expected = np.linalg.solve(chi, omega0)
-    assert np.allclose(A, expected[None, None, :, :], rtol=1e-13, atol=1e-14)
 
 
 def test_spectral_hessian_exact_on_cosine():
@@ -174,30 +163,24 @@ def test_gauge_invariance_is_bitwise_for_dyadic_data():
     geom = geom2(16)
     phi = rng.integers(0, 8, size=geom.grid_shape).astype(float) / 2.0**20
     shifted = phi + 0.5
-    assert np.array_equal(
-        PotentialField(phi).values, PotentialField(shifted).values
-    )
     coeffs = CoefficientSet(2, (1.0,)).with_c0(1.0)
     f = np.zeros(geom.grid_shape)
     r1 = residual(geom, coeffs, f, 0.5, phi)
     r2 = residual(geom, coeffs, f, 0.5, shifted)
     assert np.array_equal(r1, r2)
-    assert np.array_equal(
-        hessian_field(geom, phi), hessian_field(geom, shifted)
-    )
 
 
 def test_potential_field_validation():
-    with pytest.raises(ValueError):
-        PotentialField(np.array([1.0, np.nan]))
     geom = geom1(16)
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalue_field(geom, np.array([1.0, np.nan] * 8))
     with pytest.raises(ValueError):
         residual(
             geom, CoefficientSet(1, ()).with_c0(1.0),
             np.ones(16), 1.0, np.zeros(8),
         )
-    with pytest.raises(ValueError):
-        hessian_field(geom, np.zeros(16), scheme="compact")
+    with pytest.raises(ValueError, match="unknown scheme"):
+        eigenvalue_field(geom, np.zeros(16), scheme="compact")
 
 
 def test_trig_polynomial_values_and_guards():
