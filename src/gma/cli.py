@@ -114,15 +114,7 @@ def _render_csv(key, report):
 def _trig_grid(shape, spec):
     from .solver import trig_polynomial
 
-    terms = [
-        {
-            "amplitude": float(t["amplitude"]),
-            "wave": tuple(int(w) for w in t["wave"]),
-            "phase": float(t.get("phase", 0.0)),
-        }
-        for t in spec.get("terms", ())
-    ]
-    return trig_polynomial(shape, float(spec.get("constant", 0.0)), terms)
+    return trig_polynomial(shape, spec.get("constant", 0.0), spec.get("terms", ()))
 
 
 def _geometry(config):

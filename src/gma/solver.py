@@ -613,7 +613,7 @@ def _newton_step(geom, lin, res):
     rhs = np.append(-res.ravel(), 0.0)
     y, iterations, linear_residual = _gmres(operator, rhs)
     rho_hat = np.fft.rfftn(y[:N].reshape(shape))
-    dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape)
+    dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape, axes=range(geom.n))
     return dphi, float(-rho_hat.flat[0].real / N), iterations, linear_residual
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "intersection_number",
     "check_criterion",
     "jequation_constant",
-    "uniform_epsilon",
 ]
 
 
@@ -80,10 +79,6 @@ def _cross(a, b):
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def _det3(a, b, c):
-    return _dot(a, _cross(b, c))
 
 
 def _rank(vectors, dim):
@@ -318,31 +313,17 @@ def _shoelace(hull):
     return twice / 2
 
 
-def _facet_area_contribution(points, normal):
-    """Signed pyramid volume (apex at the origin) over one supporting plane."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return Fraction(0)
-    drop = max(range(3), key=lambda i: abs(normal[i]))
-    keep = [i for i in range(3) if i != drop]
-    flat = [(p[keep[0]], p[keep[1]]) for p in pts]
-    if _rank([_sub(f, flat[0]) for f in flat[1:]], 2) < 2:
-        return Fraction(0)
-    order = _chain_2d(flat)
-    back = {f: p for f, p in zip(flat, pts)}
-    ring = [back[f] for f in order]
-    total = Fraction(0)
-    p0 = ring[0]
-    for i in range(1, len(ring) - 1):
-        a, b = ring[i], ring[i + 1]
-        oriented = _det3(_sub(a, p0), _sub(b, p0), normal)
-        tet = _det3(p0, a, b)
-        total += tet if oriented > 0 else -tet
-    return total / 6
+def _projection(vec, edge):
+    """Coordinates kept by a projection that is injective on a face's span,
+    and the index [Z^m : pi(L)] of the projected direction lattice L.
 
-
-def _sum_supports(polys, direction):
-    return [p.tight_vertices(direction) for p in polys]
+    vec is primitive: an edge's direction (keep its largest coordinate) or
+    a hyperplane's normal (drop its largest coordinate).  Either way the
+    index is that coordinate's absolute value, so Vol_L(F) = Vol(pi F) / index.
+    """
+    j = max(range(len(vec)), key=lambda i: abs(vec[i]))
+    keep = (j,) if edge else tuple(i for i in range(len(vec)) if i != j)
+    return keep, abs(vec[j])
 
 
 def _minkowski_volume(polys):
@@ -373,11 +354,15 @@ def _minkowski_volume(polys):
                     candidates.add(tuple(-x for x in c))
     total = Fraction(0)
     for n in candidates:
-        tight_sets = _sum_supports(polys, n)
         pts = [(Fraction(0),) * 3]
-        for tight in tight_sets:
+        for tight in [p.tight_vertices(n) for p in polys]:
             pts = [_add(a, v) for a in pts for v in tight]
-        total += _facet_area_contribution(pts, n)
+        keep, index = _projection(n, edge=False)
+        flat = sorted({tuple(q[i] for i in keep) for q in pts})
+        if len(flat) < 3 or _rank([_sub(f, flat[0]) for f in flat[1:]], 2) < 2:
+            continue
+        # signed pyramid, apex at the origin: lattice height n.p times lattice area / 3
+        total += _dot(n, pts[0]) * _shoelace(_chain_2d(flat)) / (3 * index)
     return total
 
 
@@ -426,7 +411,7 @@ def mixed_volume(polys):
 
 
 # ---------------------------------------------------------------------------
-# shared-fan class pairs and face lattices in lattice coordinates
+# shared-fan class pairs and faces measured by coordinate projection
 # ---------------------------------------------------------------------------
 
 def _face_key_sets(P):
@@ -490,77 +475,19 @@ class ClassPolytopePair:
         raise KeyError(f"no face named {key!r}")
 
 
-def _egcd(a, b):
-    if b == 0:
-        return abs(a), (1 if a >= 0 else -1), 0
-    g, x, y = _egcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def _kernel_basis(m):
-    """Integer basis of {v in Z^3 : m . v = 0} for primitive integer m."""
-    m1, m2, m3 = m
-    if m1 == 0 and m2 == 0:
-        return ((1, 0, 0), (0, 1, 0))
-    g, x, y = _egcd(m1, m2)
-    # columns of a unimodular map sending m to (g, 0, m3), then to (1, 0, 0)
-    k1 = ((x, -(m2 // g), 0), (y, m1 // g, 0), (0, 0, 1))
-    _, a, b = _egcd(g, m3)
-    k2 = ((a, -m3, 0), (0, 0, 1), (b, g, 0))
-    cols = []
-    for j in (1, 2):
-        col = tuple(
-            sum(k1[i][t] * k2[t][j] for t in range(3)) for i in range(3)
-        )
-        cols.append(col)
-    for col in cols:
-        assert _dot(m, col) == 0
-    return tuple(cols)
-
-
-def _face_coordinates(face, basis, origin):
-    """Vertices of a face expressed in the given direction-lattice basis."""
-    coords = []
-    for v in face.vertices:
-        w = _sub(v, origin)
-        if len(basis) == 1:
-            g = basis[0]
-            i = next(i for i in range(len(g)) if g[i] != 0)
-            t = Fraction(w[i], g[i])
-            assert all(w[j] == t * g[j] for j in range(len(g)))
-            coords.append((t,))
-        else:
-            b1, b2 = basis
-            rows = [(b1[i], b2[i], w[i]) for i in range(3)]
-            i1, i2 = next(
-                (i, j) for i in range(3) for j in range(i + 1, 3)
-                if rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1] != 0
-            )
-            det = rows[i1][0] * rows[i2][1] - rows[i2][0] * rows[i1][1]
-            alpha = (rows[i1][2] * rows[i2][1] - rows[i2][2] * rows[i1][1]) / det
-            beta = (rows[i1][0] * rows[i2][2] - rows[i2][0] * rows[i1][2]) / det
-            assert all(w[i] == alpha * b1[i] + beta * b2[i] for i in range(3))
-            coords.append((alpha, beta))
-    return coords
-
-
-def _face_polytopes_in_lattice(pair, fo, fc):
-    """The two corresponding faces as polytopes in shared lattice coordinates
-    of their (common) direction space."""
-    n = pair.n
-    p = fo.codim
-    if p == 0:
-        return pair.p_omega, pair.p_chi
+def _face_polytopes_in_lattice(fo, fc):
+    """The two corresponding faces projected to coordinates of their (common)
+    direction space, and the lattice index the projection multiplies
+    volumes by."""
     if fo.dim == 1:
-        basis = (_primitive(_sub(fo.vertices[1], fo.vertices[0])),)
+        keep, index = _projection(_primitive(_sub(fo.vertices[1], fo.vertices[0])), edge=True)
     else:
-        normal = next(iter(fo.active))
-        basis = _kernel_basis(normal)
-    faces = []
-    for face in (fo, fc):
-        origin = min(face.vertices)
-        faces.append(RationalPolytope(_face_coordinates(face, basis, origin)))
-    return faces[0], faces[1]
+        keep, index = _projection(next(iter(fo.active)), edge=False)
+    po, pc = (
+        RationalPolytope([tuple(v[i] for i in keep) for v in face.vertices])
+        for face in (fo, fc)
+    )
+    return po, pc, index
 
 
 def intersection_number(pair, face_key, a, b):
@@ -570,14 +497,14 @@ def intersection_number(pair, face_key, a, b):
     n = pair.n
     if face_key is None:
         p = 0
-        polys = (pair.p_omega, pair.p_chi)
+        po, pc, index = pair.p_omega, pair.p_chi, 1
     else:
         _, fo, fc = pair.find_face(face_key)
         p = fo.codim
-        polys = _face_polytopes_in_lattice(pair, fo, fc)
+        po, pc, index = _face_polytopes_in_lattice(fo, fc)
     if a < 0 or b < 0 or a + b != n - p:
         raise ValueError(f"exponent mismatch: need a + b = {n - p}")
-    return math.factorial(n - p) * mixed_volume([polys[0]] * a + [polys[1]] * b)
+    return math.factorial(n - p) * mixed_volume([po] * a + [pc] * b) / index
 
 
 def _check_coefficients(n, c):
@@ -622,7 +549,6 @@ def check_criterion(pair, c):
     rows = []
     for name, fo, fc in pair.faces():
         p = fo.codim
-        # cache per-face intersection numbers through the pair API
         top = intersection_number(pair, fo.active, n - p, 0)
         if top <= 0:
             raise ValueError(f"non-positive top intersection number on {name}")
@@ -660,8 +586,3 @@ def jequation_constant(pair, k):
     denom = intersection_number(pair, None, n - k, k)
     assert denom > 0, "Kahler pair must have positive intersection numbers"
     return intersection_number(pair, None, n, 0) / denom
-
-
-def uniform_epsilon(report):
-    """Smallest face ratio (equals the report's epsilon; negative on failure)."""
-    return min(row.ratio for row in report.per_face)

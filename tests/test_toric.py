@@ -14,7 +14,6 @@ from gma.toric import (
     mixed_volume,
     scale_polytope,
     translate_polytope,
-    uniform_epsilon,
     volume,
 )
 
@@ -311,10 +310,52 @@ def test_criterion_scaling_covariance():
 
 def test_uniform_epsilon_consistency():
     report = check_criterion(blowup_pair(), [F(30, 11)])
-    assert uniform_epsilon(report) == report.epsilon_uniform
-    assert uniform_epsilon(report) == min(row.ratio for row in report.per_face)
+    assert report.epsilon_uniform == min(row.ratio for row in report.per_face)
     others = [r.ratio for r in report.per_face if r.face_id != report.worst_face]
     assert min(others) >= report.epsilon_uniform
+
+
+def _mapped(P, matrix):
+    return RationalPolytope(
+        [tuple(sum(a * x for a, x in zip(row, v)) for row in matrix) for v in P.vertices]
+    )
+
+
+def _summary(pair, c):
+    n = pair.n
+    report = check_criterion(pair, c)
+    return (
+        volume(pair.p_omega),
+        volume(pair.p_chi),
+        [intersection_number(pair, None, a, n - a) for a in range(n + 1)],
+        report.epsilon_uniform,
+        report.compatibility_value,
+        report.passed,
+        sorted((r.codim, r.lhs, r.rhs_scale) for r in report.per_face),
+    )
+
+
+def test_criterion_invariant_under_unimodular_maps():
+    # GL(n, Z) images have faces and facets of lattice index above 1 in
+    # coordinates, so every face measure must divide that index out
+    maps_3d = (
+        [[1, 2, 0], [0, 1, 3], [0, 0, 1]],
+        [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+        [[1, 1, 1], [0, 1, 2], [1, 2, 4]],
+    )
+    maps_2d = ([[2, 3], [1, 2]], [[1, 4], [0, 1]])
+    box_omega = RationalPolytope([(x, y, z) for x in (0, 3) for y in (0, 2) for z in (0, 5)])
+    box_chi = RationalPolytope([(x, y, z) for x in (0, 1) for y in (0, 2) for z in (0, 1)])
+    cases = [
+        (box_omega, box_chi, ["1/2", "1/3"], maps_3d),
+        (scale_polytope(simplex3(), 2), simplex3(), ["1/2", "1/3"], maps_3d),
+        (scale_polytope(triangle(), 3), triangle(), ["3/2"], maps_2d),
+    ]
+    for omega, chi, c, maps in cases:
+        expected = _summary(ClassPolytopePair(omega, chi), c)
+        for matrix in maps:
+            pair = ClassPolytopePair(_mapped(omega, matrix), _mapped(chi, matrix))
+            assert _summary(pair, c) == expected, matrix
 
 
 def test_coefficient_validation():
