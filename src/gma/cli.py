@@ -93,7 +93,7 @@ def _render_csv(key, report):
         writer.writerow(["delta", "nu"])
         for d, nu in zip(report["deltas"], report["nuAtDelta"]):
             writer.writerow([repr(float(d)), repr(float(nu))])
-    elif key == ("solve", "classpath"):
+    else:  # ("solve", "classpath"), the other entry of _CSV_COMMANDS
         cols = ["s", "shift", "solvable", "minConeMargin", "residualSup", "error"]
         writer.writerow(cols)
         for row in report["rows"]:
@@ -102,8 +102,6 @@ def _render_csv(key, report):
                  (repr(float(row[c])) if isinstance(row[c], float) else str(row[c]))
                  for c in cols]
             )
-    else:  # pragma: no cover - guarded before dispatch
-        raise SchemaError(f"csv output not supported for {' '.join(key)}")
     return buf.getvalue().rstrip("\n")
 
 
@@ -141,7 +139,10 @@ def _source_grid(config, geom, config_dir):
         path = Path(spec["gridFile"])
         if not path.is_absolute():
             path = config_dir / path
-        values = read_grid(path)
+        try:
+            values = read_grid(path)
+        except OSError as exc:
+            raise ValueError(f"cannot read gridFile: {exc}") from None
         if tuple(values.shape) != geom.grid_shape:
             raise ValueError(
                 f"gridFile shape {tuple(values.shape)} does not match "
@@ -151,10 +152,10 @@ def _source_grid(config, geom, config_dir):
     return _trig_grid(geom.grid_shape, spec)
 
 
-def _potential(config, key="potential"):
+def _potential(config):
     from .psh import Box, SingularPotential
 
-    spec = config[key]
+    spec = config["potential"]
     domain_spec = config.get("domain", {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]})
     domain = Box(tuple(domain_spec["lo"]), tuple(domain_spec["hi"]))
     smooth = None
@@ -522,17 +523,13 @@ def _build_parser():
         "solves, toric criteria, potential-theory utilities",
     )
     top = parser.add_subparsers(dest="command", required=True)
-    tree = {
-        "kernel": ("cone", "fm", "identities"),
-        "solve": ("run", "manufacture", "classpath"),
-        "toric": ("check",),
-        "psh": ("mollify", "lelong", "cn", "glue"),
-    }
-    for command, subcommands in tree.items():
-        group = top.add_parser(command)
-        sub = group.add_subparsers(dest="subcommand", required=True)
-        for name in subcommands:
-            sub.add_parser(name, parents=[common])
+    groups = {}
+    for command, subcommand in _HANDLERS:
+        if command not in groups:
+            groups[command] = top.add_parser(command).add_subparsers(
+                dest="subcommand", required=True
+            )
+        groups[command].add_parser(subcommand, parents=[common])
     return parser
 
 

@@ -2,8 +2,7 @@
 
 Layout: a single UTF-8 JSON line (terminated by ``\n``) holding the
 dimension, grid shape and byte order, followed immediately by the raw
-array bytes in row-major order.  A CSV export is provided for small
-grids (index coordinates plus value per row).
+array bytes in row-major order.
 """
 
 from __future__ import annotations
@@ -54,15 +53,3 @@ def read_grid(path):
     if not np.all(np.isfinite(values)):
         raise ValueError(f"grid file {path}: non-finite values")
     return values.copy()
-
-
-def write_csv(path, values, max_points=65536):
-    """Index-coordinate CSV for small grids: i1,...,in,value."""
-    values = np.asarray(values)
-    if values.size > max_points:
-        raise ValueError("write_csv: grid too large for CSV export")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"i{a+1}" for a in range(values.ndim)) + ",value\n")
-        for idx in np.ndindex(*values.shape):
-            coords = ",".join(str(i) for i in idx)
-            fh.write(f"{coords},{float(values[idx])!r}\n")

@@ -368,15 +368,6 @@ class SourceFloorBudget:
     k_constant: float
     floor: float
 
-    def terms(self):
-        return (
-            self.term_garding,
-            self.term_quadratic,
-            self.term_power,
-            self.term_class_ratio,
-            self.term_k,
-        )
-
 
 def source_floor(coeffs, class_ratio, k_safety=0.99):
     """Negative lower bound for the source term: floor = -min(five terms).
@@ -537,18 +528,23 @@ def restriction_identity(n, m, j, p):
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_cone_profiles(rng, coeffs, t, count, low=1e-2, high=1e2, max_tries=200000):
+_SAMPLE_LOG10_RANGE = (-2.0, 2.0)
+_SAMPLE_MAX_TRIES = 200000
+
+
+def sample_cone_profiles(rng, coeffs, t, count):
     """Rejection-sample `count` eigenvalue profiles inside the cone region.
 
-    Entries are log-uniform in [low, high]; a draw is kept when the margin
-    at scale t is strictly positive.
+    Entries are log-uniform in [1e-2, 1e2]; a draw is kept when the margin
+    at scale t is strictly positive.  More than _SAMPLE_MAX_TRIES draws
+    raise RuntimeError.
     """
     out = []
     tries = 0
-    lo, hi = math.log10(low), math.log10(high)
+    lo, hi = _SAMPLE_LOG10_RANGE
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > _SAMPLE_MAX_TRIES:
             raise RuntimeError("sample_cone_profiles: rejection sampling stalled")
         lam = np.sort(10.0 ** rng.uniform(lo, hi, size=coeffs.n))
         prof = EigenProfile(tuple(lam))

@@ -11,6 +11,7 @@ smooth part by polar quadrature or dense sampling.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,10 @@ def sphere_area(n):
     """Surface area of the unit sphere in C^n = R^{2n}: 2 pi^n / (n-1)!."""
     if n < 1:
         raise ValueError("sphere_area: n must be >= 1")
-    return 2.0 * math.pi**n / math.factorial(n - 1)
+    try:
+        return 2.0 * math.pi**n / math.factorial(n - 1)
+    except OverflowError:
+        raise ValueError(f"sphere_area: n = {n} is too large for float arithmetic") from None
 
 
 _BUMP = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3, ascending powers
@@ -64,8 +68,7 @@ class RadialMollifier:
 
     coeffs: tuple  # ascending powers of t
     n: int
-    name: str = "custom"
-    normalization_defect: float = None
+    normalization_defect: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -98,12 +101,12 @@ class RadialMollifier:
         """Bump kernel c*(1-t^2)^3, normalized by its exact moment."""
         mass, _ = cls(_BUMP, n).moments(2 * n - 1)
         scale = 1.0 / (sphere_area(n) * mass)
-        return cls(tuple(scale * c for c in _BUMP), n, name="polynomial")
+        return cls(tuple(scale * c for c in _BUMP), n)
 
     @classmethod
     def constant(cls, n):
         """Constant kernel 2n/|S^{2n-1}| (closed-form test kernel)."""
-        return cls((2.0 * n / sphere_area(n),), n, name="constant")
+        return cls((2.0 * n / sphere_area(n),), n)
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,16 @@ def smooth_potential(fn, domain):
     return SingularPotential(0.0, (0.0, 0.0), fn, domain)
 
 
-def mollify(potential, mollifier, delta, x, radial_nodes=48, angular_nodes=128):
+_MOLLIFY_RADIAL_NODES = 48
+_MOLLIFY_ANGULAR_NODES = 128
+
+
+def mollify(potential, mollifier, delta, x):
     """Scale-delta average of the potential at x.
 
-    Polar quadrature for the smooth part (Gauss-Legendre radially, the
-    trapezoid rule on full circles).  The log part uses the circle mean
+    Polar quadrature for the smooth part (_MOLLIFY_RADIAL_NODES
+    Gauss-Legendre nodes radially, the trapezoid rule on full circles of
+    _MOLLIFY_ANGULAR_NODES points).  The log part uses the circle mean
     of log|.|^2, which equals 2*log(max(|x-center|, radius)); when the
     ball avoids the singularity this reproduces the log part exactly, and
     otherwise the radial integral of rho(t) t log(max(w, delta t)),
@@ -195,10 +203,10 @@ def mollify(potential, mollifier, delta, x, radial_nodes=48, angular_nodes=128):
                 head + tail * math.log(delta) + log_tail
             )
     if potential.smooth is not None:
-        nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
+        nodes, weights = np.polynomial.legendre.leggauss(_MOLLIFY_RADIAL_NODES)
         t = 0.5 * (nodes + 1.0)
         wt = 0.5 * weights
-        ang = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
+        ang = 2.0 * np.pi * np.arange(_MOLLIFY_ANGULAR_NODES) / _MOLLIFY_ANGULAR_NODES
         ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         pts = np.asarray(x) + delta * t[:, None, None] * ring[None, :, :]
         vals = potential.smooth(pts).mean(axis=1)  # circle means
@@ -210,12 +218,16 @@ def mollify(potential, mollifier, delta, x, radial_nodes=48, angular_nodes=128):
 # ball suprema and logarithmic slopes
 # ---------------------------------------------------------------------------
 
-def ball_sup(potential, x, radius, radial=64, angular=64):
+_SUP_RADII = 64
+_SUP_ANGLES = 64
+
+
+def ball_sup(potential, x, radius):
     """Supremum of the potential over the closed ball B(x, radius).
 
     Exact for the pure log model (gamma * 2 * log(|x-center| + radius));
-    otherwise a dense polar-sampling lower-bound estimator with the
-    boundary circle included (radial x angular refinement knobs).
+    otherwise a dense polar-sampling lower-bound estimator on _SUP_RADII
+    circles of _SUP_ANGLES points each, the boundary circle included.
     """
     if radius <= 0:
         raise ValueError("ball_sup: radius must be positive")
@@ -225,8 +237,8 @@ def ball_sup(potential, x, radius, radial=64, angular=64):
     if potential.smooth is None:
         w = math.hypot(x[0] - potential.center[0], x[1] - potential.center[1])
         return potential.gamma * 2.0 * math.log(w + radius)
-    radii = radius * np.arange(1, radial + 1) / radial
-    ang = 2.0 * np.pi * np.arange(angular) / angular
+    radii = radius * np.arange(1, _SUP_RADII + 1) / _SUP_RADII
+    ang = 2.0 * np.pi * np.arange(_SUP_ANGLES) / _SUP_ANGLES
     ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     pts = np.asarray(x) + radii[:, None, None] * ring[None, :, :]
     pts = np.concatenate([pts.reshape(-1, 2), [np.asarray(x)]], axis=0)
@@ -241,7 +253,7 @@ class LelongLevelResult:
     r: float
 
 
-def lelong_level(potential, x, delta_list, r, radial=64, angular=64):
+def lelong_level(potential, x, delta_list, r):
     """Logarithmic slope nu(x, delta) = (sup_{r/4} - sup_delta)/(log(r/4) - log delta).
 
     Ball suprema via `ball_sup`; extrapolated value is the slope at the
@@ -252,10 +264,10 @@ def lelong_level(potential, x, delta_list, r, radial=64, angular=64):
         raise ValueError("lelong_level: empty delta list")
     if deltas[0] <= 0 or deltas[-1] >= r / 4.0:
         raise ValueError("lelong_level: need 0 < delta < r/4")
-    top = ball_sup(potential, x, r / 4.0, radial, angular)
+    top = ball_sup(potential, x, r / 4.0)
     nus = []
     for d in deltas:
-        low = ball_sup(potential, x, d, radial, angular)
+        low = ball_sup(potential, x, d)
         nus.append((top - low) / (math.log(r / 4.0) - math.log(d)))
     return LelongLevelResult(tuple(deltas), tuple(nus), nus[0], float(r))
 
@@ -440,13 +452,12 @@ def _torus_kernel(geom, delta, rho):
 
 
 def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
-                       chi0_scalings=(1.0,), mollifier=None, mu=0.0,
-                       scheme="spectral"):
+                       chi0_scalings=(1.0,), mu=0.0, scheme="spectral"):
     """Finite falsifier for the scale-uniform cone condition.
 
     For every averaging scale delta and every constant comparison form
-    s*chi (s <= 1), mollifies the Hessian field with a normalized
-    non-negative radial weight and requires cone margin >= epsilon at
+    s*chi (s <= 1), mollifies the Hessian field with the normalized
+    polynomial bump (1 - t^2)^3 and requires cone margin >= epsilon at
     every grid point.  A pass means only "no violation found in checked
     range"; the report never claims more.
     """
@@ -458,8 +469,7 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
         raise ValueError("check_uniform_cone: comparison scalings must be in (0, 1]")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("check_uniform_cone: epsilon must be in [0, 1)")
-    if mollifier is None:
-        mollifier = RadialMollifier.polynomial(1)
+    rho = RadialMollifier.polynomial(1).rho
     field = np.asarray(field, dtype=float)
     if field.shape == geom.grid_shape:
         eigenvalues = lambda smooth: eigenvalue_field(geom, smooth, scheme)
@@ -475,7 +485,7 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
     rows = []
     worst = math.inf
     for delta in deltas:
-        w_hat = np.fft.rfftn(_torus_kernel(geom, delta, mollifier.rho)).real
+        w_hat = np.fft.rfftn(_torus_kernel(geom, delta, rho)).real
         w_hat = w_hat.reshape(w_hat.shape + (1,) * (field.ndim - geom.n))
         smooth = np.fft.irfftn(field_hat * w_hat, s=geom.grid_shape, axes=axes)
         lam = eigenvalues(smooth) + mu
@@ -503,8 +513,7 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
     )
 
 
-def check_degenerate_cone(geom, coeffs, t, field, pairs, delta_list,
-                          chi0_scalings=(1.0,), mollifier=None, scheme="spectral"):
+def check_degenerate_cone(geom, coeffs, t, field, pairs, delta_list):
     """Degenerate-cone probe: for each (epsilon_i, mu_i) the field shifted
     by mu_i * chi must pass the epsilon_i-uniform check."""
     reports = []
@@ -512,10 +521,7 @@ def check_degenerate_cone(geom, coeffs, t, field, pairs, delta_list,
         if mu_i < 0:
             raise ValueError("check_degenerate_cone: shifts must be >= 0")
         reports.append(
-            check_uniform_cone(
-                geom, coeffs, t, field, eps_i, delta_list,
-                chi0_scalings, mollifier, mu=mu_i, scheme=scheme,
-            )
+            check_uniform_cone(geom, coeffs, t, field, eps_i, delta_list, mu=mu_i)
         )
     return tuple(reports)
 

@@ -115,15 +115,12 @@ class TorusGeometry:
     def mesh(self):
         return np.meshgrid(*self.axes(), indexing="ij")
 
-    def chol_inv(self):
-        """L^{-1} for chi = L L^T (cached, read-only)."""
-        return self._chol_inv
-
     # Per-geometry constants, computed on first use.  cached_property
     # stores into the instance __dict__, which the frozen dataclass allows.
 
     @functools.cached_property
     def _chol_inv(self):
+        """L^{-1} for chi = L L^T, read-only."""
         Linv = np.linalg.inv(np.linalg.cholesky(self.chi))
         Linv.setflags(write=False)
         return Linv
@@ -354,7 +351,7 @@ def form_eigenvalues(geom, omega):
 
     omega has shape grid + (n, n); the result has shape grid + (n,).
     """
-    Linv = geom.chol_inv()
+    Linv = geom._chol_inv
     M = Linv @ np.asarray(omega, dtype=float) @ Linv.T
     return _eigvals(0.5 * (M + np.swapaxes(M, -1, -2)))
 
@@ -477,7 +474,7 @@ class LinearizedResidual:
         return -np.tensordot(qbar, self.geom._quarter_symbols[self.scheme], axes=1)
 
 
-def linearize(geom, coeffs, f_grid, t, phi, slack=0.0, scheme="spectral"):
+def linearize(geom, coeffs, f_grid, t, phi, scheme="spectral"):
     """Exact derivative of `residual` in (phi, slack) at the given iterate.
 
     The residual is sum_k a_k e_k(M) + const with M = L^{-1} Omega_phi L^{-T}.
@@ -503,7 +500,7 @@ def _linearization(geom, coeffs, t, reduced, lam, scheme):
             power = reduced if j == 1 else power @ reduced
         beta = (-1) ** j * sum(a[k] * e_all[..., k - 1 - j] for k in range(j + 1, n + 1))
         P += beta[..., None, None] * power
-    Linv = geom.chol_inv()
+    Linv = geom._chol_inv
     return LinearizedResidual(geom, Linv.T @ P @ Linv, scheme, reduced)
 
 
@@ -828,29 +825,24 @@ def _validate_source_regime(coeffs, f, class_ratio):
             warnings.warn("source integral within 1e-10 below zero")
 
 
-def continuity_solve(
-    geom,
-    coeffs,
-    f_grid,
-    tol=1e-10,
-    max_iter=50,
-    scheme="spectral",
-    dt_init=0.25,
-    dt_min=1e-4,
-    compat_tol=1e-8,
-):
+_COMPAT_TOL = 1e-8
+_DT_MIN = 1e-4
+
+
+def continuity_solve(geom, coeffs, f_grid, tol=1e-10, scheme="spectral", dt_init=0.25):
     """March the interpolation parameter from 0 to 1.
 
     The constant c0 comes from the class integrals; the discrete
-    compatibility defect must not exceed compat_tol.  Step control: start
+    compatibility defect must not exceed _COMPAT_TOL.  Step control: start
     at dt_init, halve on a failed stage, double after two consecutive
-    successes, abort below dt_min.
+    successes, abort below _DT_MIN.  Each stage is one `newton_solve` at
+    its default iteration cap.
     """
     f = _check_f_grid(geom, f_grid)
     integrals = cohomology_integrals(geom, coeffs, f)
-    if abs(integrals.defect) > compat_tol:
+    if abs(integrals.defect) > _COMPAT_TOL:
         raise CompatibilityError(
-            f"compatibility defect {integrals.defect:.3e} exceeds {compat_tol:.1e}",
+            f"compatibility defect {integrals.defect:.3e} exceeds {_COMPAT_TOL:.1e}",
             defect=integrals.defect,
         )
     coeffs = coeffs.with_c0(integrals.c0)
@@ -865,10 +857,7 @@ def continuity_solve(
             "newton_iterations": len(st.newton_trace),
         }
 
-    state = newton_solve(
-        geom, coeffs, f, 0.0, phi0=None, slack0=0.0, tol=tol,
-        max_iter=max_iter, scheme=scheme,
-    )
+    state = newton_solve(geom, coeffs, f, 0.0, tol=tol, scheme=scheme)
     stages = [stage_record(0.0, state)]
     t = 0.0
     dt = dt_init
@@ -878,12 +867,12 @@ def continuity_solve(
         try:
             trial = newton_solve(
                 geom, coeffs, f, t_try, phi0=state.phi, slack0=state.slack,
-                tol=tol, max_iter=max_iter, scheme=scheme,
+                tol=tol, scheme=scheme,
             )
         except (ConeBreachError, MaxIterationsError, LinearSolveStallError):
             dt *= 0.5
             streak = 0
-            if dt < dt_min:
+            if dt < _DT_MIN:
                 raise StepUnderflowError(
                     f"continuity_solve: step underflow at t = {t:.6f}"
                 )
@@ -919,7 +908,7 @@ class ClassPathReport:
         return True
 
 
-def class_path_probe(geom, coeffs, f_grid, s_list, tol=1e-10, scheme="spectral"):
+def class_path_probe(geom, coeffs, f_grid, s_list, scheme="spectral"):
     """Scale the unknown's class by (1+s) and retry the solve for each s.
 
     For each scale the additive constant a_s is recomputed from the class
@@ -939,7 +928,7 @@ def class_path_probe(geom, coeffs, f_grid, s_list, tol=1e-10, scheme="spectral")
         f_s = f + a_s
         row = {"s": s, "shift": float(a_s)}
         try:
-            state = continuity_solve(geom_s, coeffs, f_s, tol=tol, scheme=scheme)
+            state = continuity_solve(geom_s, coeffs, f_s, scheme=scheme)
             row.update(
                 solvable=True,
                 min_cone_margin=state.min_cone_margin,

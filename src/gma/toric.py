@@ -544,6 +544,8 @@ def check_criterion(pair, c):
     subtracted sum is non-empty, i.e. some c_k with k >= codim is positive.
     """
     n = pair.n
+    if n == 1:
+        raise ValueError("check_criterion: a 1-D pair has no proper positive-dimensional faces")
     coeffs = _check_coefficients(n, c)
     zeta = max((k for k in range(1, n) if coeffs[k - 1] > 0), default=0)
     rows = []

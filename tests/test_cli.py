@@ -256,6 +256,15 @@ def test_solve_run_gridfile_shape_mismatch_exits_2(tmp_path):
     assert "does not match" in err
 
 
+def test_solve_run_missing_gridfile_exits_2(tmp_path):
+    cfg = write_config(tmp_path, solve_config(f={"gridFile": "missing.grid"}))
+    code, out, err = run_cli(["solve", "run", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "cannot read gridFile" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_solve_classpath_json_and_csv(tmp_path):
     payload = {
         "schemaVersion": 1,
@@ -366,6 +375,16 @@ def test_psh_cn_constant_kernel(tmp_path):
     code, report = run_json(["psh", "cn", "--config", cfg])
     assert code == 0
     assert abs(report["cn"] - 4.0 / 13.0) <= 1e-10
+
+
+def test_psh_cn_dimension_beyond_float_range_exits_2(tmp_path):
+    cfg = write_config(
+        tmp_path, {"schemaVersion": 1, "kernel": {"type": "polynomial"}, "n": 200}
+    )
+    code, out, err = run_cli(["psh", "cn", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "n = 200" in err
 
 
 def test_psh_mollify_constant_potential(tmp_path):

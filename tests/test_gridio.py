@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gma.gridio import read_grid, write_csv, write_grid
+from gma.gridio import read_grid, write_grid
 
 
 def test_round_trip_is_bitwise(tmp_path):
@@ -50,21 +50,3 @@ def test_read_rejects_malformed_inputs(tmp_path):
 def test_write_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_grid(tmp_path / "nan.grid", np.array([1.0, np.inf]))
-
-
-def test_csv_export_round_trips_values(tmp_path):
-    rng = np.random.default_rng(9)
-    values = rng.standard_normal((3, 5))
-    path = tmp_path / "field.csv"
-    write_csv(path, values)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i1,i2,value"
-    assert len(lines) == 1 + values.size
-    i, j, val = lines[1 + 2 * 5 + 3].split(",")
-    assert (int(i), int(j)) == (2, 3)
-    assert float(val) == values[2, 3]
-
-
-def test_csv_export_guards_size(tmp_path):
-    with pytest.raises(ValueError, match="too large"):
-        write_csv(tmp_path / "big.csv", np.zeros((300, 300)), max_points=1000)

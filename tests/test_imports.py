@@ -1,14 +1,21 @@
 """Module boundaries: no gma module imports another module's private names,
-and no gma module loads scipy."""
+no gma module loads scipy, and the benchmark tracer still finds every entry
+point it wraps by name."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gma
+import gma.solver
+from gma.kernel import CoefficientSet
 
 
 def test_no_private_cross_module_imports():
@@ -35,3 +42,26 @@ def test_package_imports_without_scipy(child_env):
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def test_bench_tracer_installs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    solver = gma.solver
+    geom = solver.TorusGeometry(2, (16, 16), np.eye(2), 1.2 * np.eye(2))
+    coeffs = CoefficientSet(2, (0.5,))
+    phi_star = solver.trig_polynomial(
+        geom.grid_shape, 0.0, [{"amplitude": 0.3 / (4.0 * math.pi**2), "wave": (1, 0)}]
+    )
+    original = solver.continuity_solve
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        case = solver.manufacture(geom, coeffs, phi_star)
+        solver.continuity_solve(geom, coeffs, case.f_grid)
+    finally:
+        tracer.uninstall()
+    assert solver.continuity_solve is original
+    names = {span.name for span in tracer.take()}
+    assert {"solver.manufacture", "solver.continuity_solve", "solver.newton_solve"} <= names

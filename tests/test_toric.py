@@ -368,3 +368,9 @@ def test_coefficient_validation():
         check_criterion(pair, [0.5])
     report = check_criterion(pair, ["3/2"])
     assert report.per_face[0].lhs == F(4) - F(3, 2)
+
+
+def test_one_dimensional_pair_is_rejected():
+    pair = ClassPolytopePair(RationalPolytope([(0,), (2,)]), RationalPolytope([(0,), (1,)]))
+    with pytest.raises(ValueError, match="1-D pair has no proper positive-dimensional faces"):
+        check_criterion(pair, [])
