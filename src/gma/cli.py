@@ -13,6 +13,10 @@ uses exit codes to separate outcome classes:
 * 3 - the toric criterion evaluated cleanly and failed; the full report
       is printed
 
+A warning raised while a subcommand runs (for example a source below the
+guaranteed floor) goes to stderr as one line ``gma: warning: <message>``;
+it changes neither stdout nor the exit code.
+
 Timings never enter the stdout report; with ``--out`` they go to a
 separate ``timings.json`` next to ``report.json`` and any grid
 artifacts, so repeated runs with the same config and seed are
@@ -32,6 +36,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +131,7 @@ def _geometry(config):
         tuple(int(m) for m in config["gridShape"]),
         np.array(config["chi"], dtype=float),
         np.array(config["omega0"], dtype=float),
+        config.get("scheme", "spectral"),
     )
     coeffs = CoefficientSet(geom.n, tuple(float(v) for v in config["c"]))
     return geom, coeffs
@@ -304,7 +310,6 @@ def _handle_solve_run(config, args, config_dir):
         coeffs,
         f_grid,
         tol=float(config.get("tolerance", 1e-10)),
-        scheme=config.get("scheme", "spectral"),
         dt_init=float(config.get("dtInit", 0.25)),
     )
     ints = cohomology_integrals(geom, coeffs, f_grid)
@@ -338,7 +343,7 @@ def _handle_solve_manufacture(config, args, config_dir):
 
     geom, coeffs = _geometry(config)
     phi_star = _trig_grid(geom.grid_shape, config["phi"])
-    case = manufacture(geom, coeffs, phi_star, scheme=config.get("scheme", "spectral"))
+    case = manufacture(geom, coeffs, phi_star)
     ints = cohomology_integrals(geom, coeffs, case.f_grid)
     report = {
         "fMin": float(case.f_grid.min()),
@@ -355,13 +360,7 @@ def _handle_solve_classpath(config, args, config_dir):
 
     geom, coeffs = _geometry(config)
     f_grid = _trig_grid(geom.grid_shape, config["f"])
-    probe = class_path_probe(
-        geom,
-        coeffs,
-        f_grid,
-        [float(s) for s in config["sList"]],
-        scheme=config.get("scheme", "spectral"),
-    )
+    probe = class_path_probe(geom, coeffs, f_grid, [float(s) for s in config["sList"]])
     report = {
         "rows": [
             {
@@ -477,7 +476,6 @@ def _handle_psh_glue(config, args, config_dir):
         global_,
         float(config["eta"]),
         float(config["offset"]),
-        scheme=config.get("scheme", "spectral"),
     )
     report = {
         "gluedMinMargin": rep.glued_min_margin,
@@ -533,6 +531,10 @@ def _build_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"gma: warning: {message}", file=sys.stderr)
+
+
 def _write_outputs(out_dir, rendered_json, artifacts, wall_seconds):
     from .gridio import write_grid
 
@@ -570,7 +572,11 @@ def main(argv=None):
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from None
         validate(args.command, args.subcommand, config)
-        report, artifacts, code = _HANDLERS[key](config, args, config_path.parent)
+        shown, warnings.showwarning = warnings.showwarning, _warning_line
+        try:
+            report, artifacts, code = _HANDLERS[key](config, args, config_path.parent)
+        finally:
+            warnings.showwarning = shown
     except (SchemaError, FanMismatchError, ValueError, TypeError) as exc:
         print(f"gma: {exc}", file=sys.stderr)
         return 2

@@ -386,8 +386,7 @@ class GlueReport:
     margin_conflict: bool
 
 
-def glue_potentials(geom, coeffs, t, local_values, global_values, eta, offset,
-                    scheme="spectral"):
+def glue_potentials(geom, coeffs, t, local_values, global_values, eta, offset):
     """Pointwise regularized max of (local + offset) against the global
     potential on a shared torus grid.
 
@@ -407,7 +406,7 @@ def glue_potentials(geom, coeffs, t, local_values, global_values, eta, offset,
     if np.any(blend):
         pairs = np.stack([a[blend], b[blend]], axis=-1)
         glued[blend] = [_regularized_pair(p[0], p[1], eta) for p in pairs]
-    report = cone_margin_field(geom, coeffs, t, glued, scheme=scheme)
+    report = cone_margin_field(geom, coeffs, t, glued)
     blend_margin = float(report.field[blend].min()) if np.any(blend) else math.inf
     return GlueReport(
         glued=glued,
@@ -452,7 +451,7 @@ def _torus_kernel(geom, delta, rho):
 
 
 def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
-                       chi0_scalings=(1.0,), mu=0.0, scheme="spectral"):
+                       chi0_scalings=(1.0,), mu=0.0):
     """Finite falsifier for the scale-uniform cone condition.
 
     For every averaging scale delta and every constant comparison form
@@ -472,7 +471,7 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
     rho = RadialMollifier.polynomial(1).rho
     field = np.asarray(field, dtype=float)
     if field.shape == geom.grid_shape:
-        eigenvalues = lambda smooth: eigenvalue_field(geom, smooth, scheme)
+        eigenvalues = lambda smooth: eigenvalue_field(geom, smooth)
     elif field.shape == geom.grid_shape + (geom.n, geom.n):
         eigenvalues = lambda smooth: form_eigenvalues(geom, smooth)
     else:

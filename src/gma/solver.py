@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,13 +79,16 @@ class TorusGeometry:
 
     grid_shape entries must be even and >= 8 (even sizes keep the real
     spectral derivatives well defined; 8 is the coarsest grid any scheme
-    here is trusted on).
+    here is trusted on).  scheme discretises the Hessian of every potential
+    on the geometry: "spectral" (exact on resolved modes) or "fd" (the
+    centred second-order stencils).
     """
 
     n: int
     grid_shape: tuple
     chi: np.ndarray
     omega0: np.ndarray
+    scheme: str = "spectral"
 
     def __post_init__(self):
         if not (1 <= self.n <= 3):
@@ -95,6 +98,8 @@ class TorusGeometry:
             raise ValueError("TorusGeometry: grid_shape length must equal n")
         if any(s < 8 or s % 2 for s in shape):
             raise ValueError("TorusGeometry: grid sizes must be even and >= 8")
+        if self.scheme not in ("spectral", "fd"):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
         object.__setattr__(self, "grid_shape", shape)
         chi = _check_spd(self.chi, "chi")
         omega0 = _check_spd(self.omega0, "omega0")
@@ -125,12 +130,15 @@ class TorusGeometry:
         Linv.setflags(write=False)
         return Linv
 
+    def _reduce(self, omega):
+        """Symmetrised L^{-1} omega L^{-T} of a form or a field of forms, chi = L L^T."""
+        M = self._chol_inv @ omega @ self._chol_inv.T
+        return 0.5 * (M + np.swapaxes(M, -1, -2))
+
     @functools.cached_property
     def _reduced_omega0(self):
         """M0 = L^{-1} omega0 L^{-T}, the reduced background."""
-        Linv = self._chol_inv
-        M0 = Linv @ self.omega0 @ Linv.T
-        return 0.5 * (M0 + M0.T)
+        return self._reduce(self.omega0)
 
     @functools.cached_property
     def _fold(self):
@@ -168,7 +176,8 @@ class TorusGeometry:
 
     @functools.cached_property
     def _quarter_symbols(self):
-        """Half-spectrum symbols of (1/4) d_a d_b per scheme, stacked over pairs a <= b.
+        """Half-spectrum symbols of (1/4) d_a d_b in the geometry's scheme,
+        stacked over pairs a <= b.
 
         "spectral": -pi^2 k_a k_b.  "fd", the centred second-order stencils:
         -N_a^2 sin^2(pi k_a / N_a) on the diagonal and
@@ -183,27 +192,21 @@ class TorusGeometry:
         k = self._wavenumbers
         shape = self.grid_shape
         nyquist = [np.abs(ka) == s // 2 for ka, s in zip(k, shape)]
-        sines = [s * np.sin(2.0 * np.pi * ka / s) for ka, s in zip(k, shape)]
-        spectral, fd = [], []
-        for a, b in _pairs(self.n):
-            if a == b:
-                spectral.append(-(np.pi**2) * k[a] ** 2)
-                fd.append(-((shape[a] * np.sin(np.pi * k[a] / shape[a])) ** 2))
-            else:
-                spectral.append(np.where(nyquist[a] ^ nyquist[b], 0.0, -(np.pi**2) * k[a] * k[b]))
-                fd.append(np.where(nyquist[a] | nyquist[b], 0.0, -0.25 * sines[a] * sines[b]))
-        return {
-            "spectral": np.stack(np.broadcast_arrays(*spectral)),
-            "fd": np.stack(np.broadcast_arrays(*fd)),
-        }
+        if self.scheme == "spectral":
+            diagonal = [-(np.pi**2) * ka**2 for ka in k]
+            mixed = lambda a, b: np.where(nyquist[a] ^ nyquist[b], 0.0, -(np.pi**2) * k[a] * k[b])
+        else:
+            diagonal = [-((s * np.sin(np.pi * ka / s)) ** 2) for ka, s in zip(k, shape)]
+            sines = [s * np.sin(2.0 * np.pi * ka / s) for ka, s in zip(k, shape)]
+            mixed = lambda a, b: np.where(nyquist[a] | nyquist[b], 0.0, -0.25 * sines[a] * sines[b])
+        symbols = [diagonal[a] if a == b else mixed(a, b) for a, b in _pairs(self.n)]
+        return np.stack(np.broadcast_arrays(*symbols))
 
     @functools.cached_property
     def _reduced_symbols(self):
-        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T} per scheme, stacked over pairs."""
-        return {
-            scheme: (self._fold @ q.reshape(len(q), -1)).reshape(q.shape)
-            for scheme, q in self._quarter_symbols.items()
-        }
+        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T}, stacked over pairs."""
+        q = self._quarter_symbols
+        return (self._fold @ q.reshape(len(q), -1)).reshape(q.shape)
 
 
 def _canonical(values, shape=None):
@@ -260,31 +263,21 @@ def _filter(geom, values, symbols):
     )
 
 
-def _scheme_symbols(table, scheme):
-    """The entry of a per-scheme symbol table; ValueError for an unknown scheme."""
-    if scheme not in table:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return table[scheme]
-
-
-def _quarter_hessian(geom, values, scheme):
-    """Stacked components (1/4) d_a d_b of a grid field, a <= b; shape (p,) + grid."""
-    return _filter(geom, values, _scheme_symbols(geom._quarter_symbols, scheme))
-
-
-def _reduced_hessian(geom, values, scheme):
+def _reduced_hessian(geom, values):
     """Stacked components of L^{-1} (1/4) Hess(values) L^{-T}, chi = L L^T."""
-    return _filter(geom, values, _scheme_symbols(geom._reduced_symbols, scheme))
+    return _filter(geom, values, geom._reduced_symbols)
 
 
-def _reduced_field(geom, values, scheme):
+def _reduced_field(geom, values):
     """M = L^{-1} Omega_phi L^{-T}, whose eigenvalues are those of chi^{-1} Omega_phi."""
-    return _assemble(_reduced_hessian(geom, values, scheme), geom._reduced_omega0)
+    return _assemble(_reduced_hessian(geom, values), geom._reduced_omega0)
 
 
-def potential_hessian(geom, phi, scheme="spectral"):
+def potential_hessian(geom, phi):
     """Second derivative field of the potential, shape grid + (n, n)."""
-    return 4.0 * _assemble(_quarter_hessian(geom, _canonical(phi, geom.grid_shape), scheme))
+    return 4.0 * _assemble(
+        _filter(geom, _canonical(phi, geom.grid_shape), geom._quarter_symbols)
+    )
 
 
 _JACOBI_SWEEPS = 4
@@ -351,14 +344,12 @@ def form_eigenvalues(geom, omega):
 
     omega has shape grid + (n, n); the result has shape grid + (n,).
     """
-    Linv = geom._chol_inv
-    M = Linv @ np.asarray(omega, dtype=float) @ Linv.T
-    return _eigvals(0.5 * (M + np.swapaxes(M, -1, -2)))
+    return _eigvals(geom._reduce(np.asarray(omega, dtype=float)))
 
 
-def eigenvalue_field(geom, phi, scheme="spectral"):
+def eigenvalue_field(geom, phi):
     """Ascending generalized eigenvalues lam(x), shape grid + (n,)."""
-    return _eigvals(_reduced_field(geom, _canonical(phi, geom.grid_shape), scheme))
+    return _eigvals(_reduced_field(geom, _canonical(phi, geom.grid_shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +405,10 @@ def _check_f_grid(geom, f_grid):
     return f
 
 
-def residual(geom, coeffs, f_grid, t, phi, slack=0.0, scheme="spectral"):
+def residual(geom, coeffs, f_grid, t, phi, slack=0.0):
     """Stage-t pointwise residual; raises ConeBreachError off the positive cone."""
     f = _check_f_grid(geom, f_grid)
-    lam = eigenvalue_field(geom, phi, scheme)
+    lam = eigenvalue_field(geom, phi)
     _require_positive(lam, "residual: deformed form lost positivity")
     return _residual_from_lam(coeffs, t, f, lam, slack)
 
@@ -429,13 +420,13 @@ class ConeMarginReport:
     field: np.ndarray
 
 
-def cone_margin_field(geom, coeffs, t, phi, scheme="spectral"):
+def cone_margin_field(geom, coeffs, t, phi):
     """Per-point cone margins 1 - max_i load_i for the stage-t loads.
 
     Returns the global minimum, the grid point attaining it, and the full
     margin field.
     """
-    lam = eigenvalue_field(geom, phi, scheme)
+    lam = eigenvalue_field(geom, phi)
     _require_positive(lam, "cone_margin_field: deformed form lost positivity")
     margins = margin_field(coeffs, t, lam)
     argmin = np.unravel_index(np.argmin(margins), margins.shape)
@@ -453,10 +444,9 @@ class LinearizedResidual:
 
     slack_direction = -1.0
 
-    def __init__(self, geom, q_field, scheme, reduced):
+    def __init__(self, geom, q_field, reduced):
         self.geom = geom
         self.q_field = q_field
-        self.scheme = scheme
         self.reduced = reduced
         # Q_ab per stacked pair, counted twice off the diagonal (Q_ab = Q_ba)
         self._pair_weights = np.stack(
@@ -464,17 +454,17 @@ class LinearizedResidual:
         )
 
     def apply(self, psi):
-        comps = _quarter_hessian(self.geom, np.asarray(psi, dtype=float), self.scheme)
+        comps = _filter(self.geom, np.asarray(psi, dtype=float), self.geom._quarter_symbols)
         return np.einsum("p...,p...->...", self._pair_weights, comps)
 
     def mean_symbol(self):
         """Symbol magnitude m(k) of the averaged-coefficient operator on the
         rfftn half spectrum."""
         qbar = self._pair_weights.reshape(len(self._pair_weights), -1).mean(axis=1)
-        return -np.tensordot(qbar, self.geom._quarter_symbols[self.scheme], axes=1)
+        return -np.tensordot(qbar, self.geom._quarter_symbols, axes=1)
 
 
-def linearize(geom, coeffs, f_grid, t, phi, scheme="spectral"):
+def linearize(geom, coeffs, f_grid, t, phi):
     """Exact derivative of `residual` in (phi, slack) at the given iterate.
 
     The residual is sum_k a_k e_k(M) + const with M = L^{-1} Omega_phi L^{-T}.
@@ -483,11 +473,11 @@ def linearize(geom, coeffs, f_grid, t, phi, scheme="spectral"):
         P = sum_k a_k sum_j (-1)^j e_{k-1-j}(M) M^j,   Q = L^{-T} P L^{-1}.
     """
     _check_f_grid(geom, f_grid)
-    reduced = _reduced_field(geom, _canonical(phi, geom.grid_shape), scheme)
-    return _linearization(geom, coeffs, t, reduced, _eigvals(reduced), scheme)
+    reduced = _reduced_field(geom, _canonical(phi, geom.grid_shape))
+    return _linearization(geom, coeffs, t, reduced, _eigvals(reduced))
 
 
-def _linearization(geom, coeffs, t, reduced, lam, scheme):
+def _linearization(geom, coeffs, t, reduced, lam):
     """`linearize` at the iterate whose reduced field and eigenvalues are given."""
     _require_positive(lam, "linearize: deformed form lost positivity")
     n = geom.n
@@ -501,7 +491,7 @@ def _linearization(geom, coeffs, t, reduced, lam, scheme):
         beta = (-1) ** j * sum(a[k] * e_all[..., k - 1 - j] for k in range(j + 1, n + 1))
         P += beta[..., None, None] * power
     Linv = geom._chol_inv
-    return LinearizedResidual(geom, Linv.T @ P @ Linv, scheme, reduced)
+    return LinearizedResidual(geom, Linv.T @ P @ Linv, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +585,7 @@ def _newton_step(geom, lin, res):
         )
     inverse_symbol = np.zeros_like(symbol)
     np.divide(-1.0, symbol, out=inverse_symbol, where=symbol > 0)
-    kernel = geom._quarter_symbols[lin.scheme] * inverse_symbol
+    kernel = geom._quarter_symbols * inverse_symbol
     axes = range(1, geom.n + 1)
 
     def operator(y):
@@ -643,7 +633,6 @@ def newton_solve(
     slack0=0.0,
     tol=1e-10,
     max_iter=50,
-    scheme="spectral",
 ):
     """Damped Newton for the stage-t equation with slack and mean-zero phi.
 
@@ -665,7 +654,7 @@ def newton_solve(
         np.zeros(geom.grid_shape) if phi0 is None else _canonical(phi0, geom.grid_shape)
     )
     slack = float(slack0)
-    reduced = _reduced_field(geom, phi, scheme)
+    reduced = _reduced_field(geom, phi)
     lam = _eigvals(reduced)
     res, margin = _diagnostics(coeffs, f, t, lam, slack)
     if res is None:
@@ -680,9 +669,9 @@ def newton_solve(
     for it in range(max_iter):
         if res_sup <= tol:
             return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)
-        lin = _linearization(geom, coeffs, t, reduced, lam, scheme)
+        lin = _linearization(geom, coeffs, t, reduced, lam)
         dphi, ds, gmres_iterations, linear_residual = _newton_step(geom, lin, res)
-        d_reduced = _assemble(_reduced_hessian(geom, dphi, scheme))
+        d_reduced = _assemble(_reduced_hessian(geom, dphi))
         alpha = 1.0
         accepted = False
         cone_rejections = 0
@@ -769,7 +758,7 @@ class ManufacturedCase:
     f_grid: np.ndarray
 
 
-def manufacture(geom, coeffs, phi_star, scheme="spectral"):
+def manufacture(geom, coeffs, phi_star):
     """Source grid for which phi_star solves the endpoint equation exactly:
 
         f := e_n(lam*) - sum_k c_k/C(n,k) e_k(lam*)
@@ -778,7 +767,7 @@ def manufacture(geom, coeffs, phi_star, scheme="spectral"):
     endpoint residual of phi_star vanishes identically.
     """
     phi = _canonical(phi_star, geom.grid_shape)
-    lam = eigenvalue_field(geom, phi, scheme)
+    lam = eigenvalue_field(geom, phi)
     _require_positive(
         lam, "manufacture: phi_star leaves the positive cone", report_value=False
     )
@@ -829,7 +818,7 @@ _COMPAT_TOL = 1e-8
 _DT_MIN = 1e-4
 
 
-def continuity_solve(geom, coeffs, f_grid, tol=1e-10, scheme="spectral", dt_init=0.25):
+def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=0.25):
     """March the interpolation parameter from 0 to 1.
 
     The constant c0 comes from the class integrals; the discrete
@@ -857,7 +846,7 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, scheme="spectral", dt_init
             "newton_iterations": len(st.newton_trace),
         }
 
-    state = newton_solve(geom, coeffs, f, 0.0, tol=tol, scheme=scheme)
+    state = newton_solve(geom, coeffs, f, 0.0, tol=tol)
     stages = [stage_record(0.0, state)]
     t = 0.0
     dt = dt_init
@@ -866,8 +855,7 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, scheme="spectral", dt_init
         t_try = min(t + dt, 1.0)
         try:
             trial = newton_solve(
-                geom, coeffs, f, t_try, phi0=state.phi, slack0=state.slack,
-                tol=tol, scheme=scheme,
+                geom, coeffs, f, t_try, phi0=state.phi, slack0=state.slack, tol=tol
             )
         except (ConeBreachError, MaxIterationsError, LinearSolveStallError):
             dt *= 0.5
@@ -908,7 +896,7 @@ class ClassPathReport:
         return True
 
 
-def class_path_probe(geom, coeffs, f_grid, s_list, scheme="spectral"):
+def class_path_probe(geom, coeffs, f_grid, s_list):
     """Scale the unknown's class by (1+s) and retry the solve for each s.
 
     For each scale the additive constant a_s is recomputed from the class
@@ -920,15 +908,13 @@ def class_path_probe(geom, coeffs, f_grid, s_list, scheme="spectral"):
     for s in sorted(float(s) for s in s_list):
         if s <= -1.0:
             raise ValueError("class_path_probe: scale 1+s must stay positive")
-        geom_s = TorusGeometry(
-            geom.n, geom.grid_shape, geom.chi, (1.0 + s) * geom.omega0
-        )
+        geom_s = replace(geom, omega0=(1.0 + s) * geom.omega0)
         ints = cohomology_integrals(geom_s, coeffs, f)
         a_s = ints.defect  # shift that restores exact compatibility
         f_s = f + a_s
         row = {"s": s, "shift": float(a_s)}
         try:
-            state = continuity_solve(geom_s, coeffs, f_s, scheme=scheme)
+            state = continuity_solve(geom_s, coeffs, f_s)
             row.update(
                 solvable=True,
                 min_cone_margin=state.min_cone_margin,

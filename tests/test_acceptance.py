@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -238,7 +239,7 @@ def test_criterion_4_solver(capsys):
         g = _geom2(nx)
         star = _two_mode(g.grid_shape, 0.02)
         c = manufacture(g, coeffs, star)
-        st = continuity_solve(g, coeffs, c.f_grid, scheme="fd")
+        st = continuity_solve(replace(g, scheme="fd"), coeffs, c.f_grid)
         errs.append(float(np.max(np.abs(st.phi - c.phi_star))))
     ratios = (errs[0] / errs[1], errs[1] / errs[2])
     ratios_ok = all(3.5 <= r <= 4.5 for r in ratios)
@@ -462,16 +463,14 @@ def test_criterion_7_psh(capsys):
     ]
     mono_ok = all(y2 - y1 >= -1e-12 for y1, y2 in zip(sweep, sweep[1:]))
 
-    geom64 = _geom2(64)
+    geom64 = replace(_geom2(64), scheme="fd")
     u = trig_polynomial(
         geom64.grid_shape, 0.0, [{"amplitude": 2.0 / (7.0 * PI2), "wave": (1, 0)}]
     )
     v = trig_polynomial(
         geom64.grid_shape, 0.0, [{"amplitude": 1.0 / (6.0 * PI2), "wave": (0, 1)}]
     )
-    glue = glue_potentials(
-        geom64, coeffs, 1.0, u, v, eta=0.01, offset=0.0, scheme="fd"
-    )
+    glue = glue_potentials(geom64, coeffs, 1.0, u, v, eta=0.01, offset=0.0)
     glue_ok = (
         glue.blend_points > 0
         and not glue.margin_conflict

@@ -277,18 +277,21 @@ def test_solve_classpath_json_and_csv(tmp_path):
         "sList": [0.0, 0.5],
     }
     cfg = write_config(tmp_path, payload)
-    with pytest.warns(UserWarning):
-        code, report = run_json(["solve", "classpath", "--config", cfg])
+    code, out, err = run_cli(["solve", "classpath", "--config", cfg])
     assert code == 0
+    report = json.loads(out)
     assert [row["solvable"] for row in report["rows"]] == [False, True]
     assert report["rows"][0]["error"] == "StepUnderflowError"
     assert report["rows"][1]["minConeMargin"] > 0.0
     assert report["upwardClosed"] is True
+    # the sources below the guaranteed floor are reported one line each
+    warned = err.splitlines()
+    assert warned
+    assert all(line.startswith("gma: warning: ") for line in warned)
+    assert any("guaranteed floor" in line for line in warned)
+    assert not any(".py" in line for line in warned)
 
-    with pytest.warns(UserWarning):
-        code, out, _ = run_cli(
-            ["solve", "classpath", "--config", cfg, "--format", "csv"]
-        )
+    code, out, _ = run_cli(["solve", "classpath", "--config", cfg, "--format", "csv"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "s,shift,solvable,minConeMargin,residualSup,error"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,12 +362,11 @@ def test_glue_offset_dominance_is_bitwise_local():
 
 
 def test_glue_disjoint_dominance_exact_switch():
-    geom = TorusGeometry(1, (64,), np.eye(1), np.eye(1))
+    geom = TorusGeometry(1, (64,), np.eye(1), np.eye(1), scheme="fd")
     coeffs = CoefficientSet(1, ())
     u = trig_polynomial((64,), 0.0, [{"amplitude": 0.1, "wave": (1,)}])
     v = np.full(64, 0.05)
-    report = glue_potentials(geom, coeffs, 1.0, u, v, eta=1e-6, offset=0.0,
-                             scheme="fd")
+    report = glue_potentials(geom, coeffs, 1.0, u, v, eta=1e-6, offset=0.0)
     assert report.blend_points == 0
     assert np.array_equal(report.glued, np.maximum(u, v))
     assert report.local_points + report.global_points == 64
@@ -387,8 +387,7 @@ def test_glue_preserves_cone_margin():
     assert cone_margin_field(geom, coeffs, 1.0, v).min_margin == pytest.approx(0.4, rel=1e-12)
 
     eta = 0.01
-    report = glue_potentials(geom, coeffs, 1.0, u, v, eta=eta, offset=0.0,
-                             scheme="fd")
+    report = glue_potentials(replace(geom, scheme="fd"), coeffs, 1.0, u, v, eta=eta, offset=0.0)
     assert report.blend_points > 0
     assert not report.margin_conflict
     assert report.glued_min_margin >= 0.3 - 1e-8
@@ -525,12 +524,12 @@ def test_uniform_cone_accepts_hessian_field_input():
     assert report.worst_margin == pytest.approx(0.5, rel=1e-12)
 
 
-def _uniform_cone_rows_oracle(geom, coeffs, t, field, deltas, scalings, mu, scheme):
+def _uniform_cone_rows_oracle(geom, coeffs, t, field, deltas, scalings, mu):
     """(min_margin, argmin) per row by entrywise complex FFT convolution of
     omega0 + mu chi + (1/4) Hess(phi), or of a given form field + mu chi."""
     field = np.asarray(field, dtype=float)
     if field.shape == geom.grid_shape:
-        field = geom.omega0 + 0.25 * potential_hessian(geom, field, scheme)
+        field = geom.omega0 + 0.25 * potential_hessian(geom, field)
     omega = field + mu * geom.chi
     rho = RadialMollifier.polynomial(1).rho
     dist = [np.minimum(np.arange(m) / m, 1.0 - np.arange(m) / m) for m in geom.grid_shape]
@@ -564,7 +563,7 @@ def test_uniform_cone_matches_entrywise_convolution(shape, scheme, kind, mu):
     chi = a @ a.T + n * np.eye(n)
     b = rng.standard_normal((n, n))
     omega0 = b @ b.T + 2.0 * n * np.eye(n)
-    geom = TorusGeometry(n, shape, chi, omega0)
+    geom = TorusGeometry(n, shape, chi, omega0, scheme)
     coeffs = CoefficientSet(n, (0.5,) * (n - 1))
     if kind == "potential":
         field = 2e-3 * rng.standard_normal(shape)
@@ -572,10 +571,8 @@ def test_uniform_cone_matches_entrywise_convolution(shape, scheme, kind, mu):
         noise = 0.2 * rng.standard_normal(shape + (n, n))
         field = omega0 + noise + np.swapaxes(noise, -1, -2)
     deltas, scalings = (0.1, 0.25), (1.0, 0.7)
-    report = check_uniform_cone(geom, coeffs, 1.0, field, 0.0, deltas, scalings,
-                                mu=mu, scheme=scheme)
-    expected = _uniform_cone_rows_oracle(geom, coeffs, 1.0, field, deltas, scalings,
-                                         mu, scheme)
+    report = check_uniform_cone(geom, coeffs, 1.0, field, 0.0, deltas, scalings, mu=mu)
+    expected = _uniform_cone_rows_oracle(geom, coeffs, 1.0, field, deltas, scalings, mu)
     assert len(report.rows) == len(expected)
     for row, (margin, argmin) in zip(report.rows, expected):
         assert row["min_margin"] == pytest.approx(margin, abs=1e-12)

@@ -2,6 +2,7 @@
 continuity marching, manufactured recovery, and failure modes."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,14 +37,14 @@ from gma.solver import (
 PI2 = math.pi**2
 
 
-def geom1(nx=64):
-    return TorusGeometry(1, (nx,), np.array([[1.0]]), np.array([[1.0]]))
+def geom1(nx=64, scheme="spectral"):
+    return TorusGeometry(1, (nx,), np.array([[1.0]]), np.array([[1.0]]), scheme)
 
 
-def geom2(nx=32, chi=None, omega0=None):
+def geom2(nx=32, chi=None, omega0=None, scheme="spectral"):
     chi = np.eye(2) if chi is None else np.asarray(chi, dtype=float)
     omega0 = np.eye(2) if omega0 is None else np.asarray(omega0, dtype=float)
-    return TorusGeometry(2, (nx, nx), chi, omega0)
+    return TorusGeometry(2, (nx, nx), chi, omega0, scheme)
 
 
 def two_mode(shape, amp):
@@ -78,7 +79,7 @@ def test_geometry_validation():
 def test_spectral_hessian_exact_on_cosine():
     geom = geom1(64)
     phi = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 1.0, "wave": (1,)}])
-    H = potential_hessian(geom, phi, scheme="spectral")
+    H = potential_hessian(geom, phi)
     x = geom.axes()[0]
     expected = -4.0 * PI2 * np.cos(2.0 * np.pi * x)
     assert np.max(np.abs(H[:, 0, 0] - expected)) <= 1e-10 * 4.0 * PI2
@@ -87,9 +88,9 @@ def test_spectral_hessian_exact_on_cosine():
 def test_fd_hessian_second_order_on_cosine():
     errs = []
     for nx in (16, 32, 64):
-        geom = geom1(nx)
+        geom = geom1(nx, scheme="fd")
         phi = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 1.0, "wave": (1,)}])
-        H = potential_hessian(geom, phi, scheme="fd")
+        H = potential_hessian(geom, phi)
         x = geom.axes()[0]
         expected = -4.0 * PI2 * np.cos(2.0 * np.pi * x)
         errs.append(np.max(np.abs(H[:, 0, 0] - expected)))
@@ -102,8 +103,8 @@ def test_mixed_fd_stencil_second_order():
     for nx in (16, 32, 64):
         shape = (nx, nx)
         phi = trig_polynomial(shape, 0.0, [{"amplitude": 1.0, "wave": (1, 1)}])
-        geom = geom2(nx)
-        H = potential_hessian(geom, phi, scheme="fd")
+        geom = geom2(nx, scheme="fd")
+        H = potential_hessian(geom, phi)
         xs, ys = geom.mesh()
         expected = -4.0 * PI2 * np.cos(2.0 * np.pi * (xs + ys))
         errs.append(np.max(np.abs(H[..., 0, 1] - expected)))
@@ -180,7 +181,7 @@ def test_potential_field_validation():
             np.ones(16), 1.0, np.zeros(8),
         )
     with pytest.raises(ValueError, match="unknown scheme"):
-        eigenvalue_field(geom, np.zeros(16), scheme="compact")
+        TorusGeometry(1, (16,), np.eye(1), np.eye(1), scheme="compact")
 
 
 def test_trig_polynomial_values_and_guards():
@@ -239,7 +240,7 @@ def test_cone_margin_grid_refinement_agreement():
 
 @pytest.mark.parametrize("scheme", ["spectral", "fd"])
 def test_linearize_matches_directional_difference(scheme):
-    geom = geom2(16)
+    geom = geom2(16, scheme=scheme)
     coeffs = CoefficientSet(2, (0.8,))
     ints = cohomology_integrals(geom)
     coeffs = coeffs.with_c0(ints.c0)
@@ -264,19 +265,19 @@ def test_linearize_matches_directional_difference(scheme):
     )
     psi -= psi.mean()
     t = 0.7
-    lin = linearize(geom, coeffs, f, t, phi, scheme=scheme)
+    lin = linearize(geom, coeffs, f, t, phi)
     eps = 1e-5
     diff = (
-        residual(geom, coeffs, f, t, phi + eps * psi, scheme=scheme)
-        - residual(geom, coeffs, f, t, phi - eps * psi, scheme=scheme)
+        residual(geom, coeffs, f, t, phi + eps * psi)
+        - residual(geom, coeffs, f, t, phi - eps * psi)
     ) / (2.0 * eps)
     applied = lin.apply(psi)
     rel = np.max(np.abs(diff - applied)) / np.max(np.abs(applied))
     assert rel <= 1e-6
     assert lin.slack_direction == -1.0
     sdiff = (
-        residual(geom, coeffs, f, t, phi, slack=eps, scheme=scheme)
-        - residual(geom, coeffs, f, t, phi, slack=-eps, scheme=scheme)
+        residual(geom, coeffs, f, t, phi, slack=eps)
+        - residual(geom, coeffs, f, t, phi, slack=-eps)
     ) / (2.0 * eps)
     assert np.allclose(sdiff, -1.0, rtol=0, atol=1e-11)
 
@@ -361,13 +362,15 @@ def _stencil_quarter_hessian(values):
 @pytest.mark.parametrize("shape", [(32,), (32, 32), (12, 20), (8, 10, 12), (16, 16, 16)])
 def test_fd_multiplier_matches_stencil(shape):
     geom, phi, _ = _rough_case(shape, 22)
+    geom = replace(geom, scheme="fd")
     quarter = _stencil_quarter_hessian(phi)
     scale = np.abs(quarter).max()
-    assert np.abs(solver._quarter_hessian(geom, phi, "fd") - quarter).max() <= 1e-13 * scale
+    got = solver._filter(geom, phi, geom._quarter_symbols)
+    assert np.abs(got - quarter).max() <= 1e-13 * scale
     H = 4.0 * solver._assemble(quarter)
-    assert np.abs(potential_hessian(geom, phi, scheme="fd") - H).max() <= 1e-13 * 4.0 * scale
+    assert np.abs(potential_hessian(geom, phi) - H).max() <= 1e-13 * 4.0 * scale
     M, _ = _reduced_oracle(geom, H)
-    got = solver._reduced_field(geom, phi, "fd")
+    got = solver._reduced_field(geom, phi)
     assert np.abs(got - M).max() <= 1e-13 * np.abs(M).max()
 
 
@@ -641,18 +644,17 @@ def test_gmres_solves_to_true_relative_residual():
      (lambda: TorusGeometry(3, (8, 8, 8), np.eye(3), 1.2 * np.eye(3)), "spectral")],
 )
 def test_newton_reports_residual_of_returned_potential(make_geom, scheme):
-    geom = make_geom()
+    geom = replace(make_geom(), scheme=scheme)
     n = geom.n
     coeffs = CoefficientSet(n, (0.5,) + (0.3,) * (n - 2))
-    case = manufacture(geom, coeffs, two_mode(geom.grid_shape, 0.04), scheme=scheme)
+    case = manufacture(geom, coeffs, two_mode(geom.grid_shape, 0.04))
     ints = cohomology_integrals(geom, coeffs, case.f_grid)
     coeffs = coeffs.with_c0(ints.c0)
-    state = newton_solve(geom, coeffs, case.f_grid, 0.5, scheme=scheme)
+    state = newton_solve(geom, coeffs, case.f_grid, 0.5)
     assert state.newton_trace  # the line search ran
     for t, st in ((0.5, state), (1.0, newton_solve(
-            geom, coeffs, case.f_grid, 1.0, phi0=state.phi, slack0=state.slack,
-            scheme=scheme))):
-        recomputed = residual(geom, coeffs, case.f_grid, t, st.phi, st.slack, scheme=scheme)
+            geom, coeffs, case.f_grid, 1.0, phi0=state.phi, slack0=state.slack))):
+        recomputed = residual(geom, coeffs, case.f_grid, t, st.phi, st.slack)
         assert abs(st.residual_sup - np.abs(recomputed).max()) <= 1e-13
 
 
@@ -771,7 +773,7 @@ def test_manufactured_recovery_fd_second_order():
         geom = geom2(nx)
         phi_star = two_mode(geom.grid_shape, 0.02)
         case = manufacture(geom, coeffs, phi_star)  # exact discrete source
-        state = continuity_solve(geom, coeffs, case.f_grid, scheme="fd")
+        state = continuity_solve(replace(geom, scheme="fd"), coeffs, case.f_grid)
         errs.append(np.max(np.abs(state.phi - case.phi_star)))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
     assert 3.5 <= errs[1] / errs[2] <= 4.5
@@ -818,6 +820,27 @@ def test_class_path_probe_reports_upward_closed_solvability():
     assert report.rows[0]["error"] == "StepUnderflowError"
     assert report.rows[2]["min_cone_margin"] > 0.0
     assert report.upward_closed
+
+
+def test_class_path_probe_keeps_the_geometry_scheme():
+    # every row is the continuity solve on the scaled fd geometry; the
+    # spectral twin of a scaled geometry reaches another cone margin
+    geom = geom2(16, np.eye(2), 1.2 * np.eye(2), scheme="fd")
+    coeffs = CoefficientSet(2, (0.5,))
+    f = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 0.3, "wave": (1, 0)},
+                                               {"amplitude": 0.2, "wave": (1, 1)}])
+    s_list = (0.0, 0.3)
+    report = class_path_probe(geom, coeffs, f, s_list)
+    for s, row in zip(s_list, report.rows):
+        geom_s = replace(geom, omega0=(1.0 + s) * geom.omega0)
+        shift = cohomology_integrals(geom_s, coeffs, f).defect
+        state = continuity_solve(geom_s, coeffs, f + shift)
+        assert row["shift"] == shift
+        assert row["solvable"]
+        assert row["min_cone_margin"] == state.min_cone_margin
+        assert row["residual_sup"] == state.residual_sup
+        spectral = continuity_solve(replace(geom_s, scheme="spectral"), coeffs, f + shift)
+        assert spectral.min_cone_margin != state.min_cone_margin
 
 
 def test_upward_closure_property_detects_violations():
