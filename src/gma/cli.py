@@ -14,8 +14,8 @@ uses exit codes to separate outcome classes:
       is printed
 
 A warning raised while a subcommand runs (for example a source below the
-guaranteed floor) goes to stderr as one line ``gma: warning: <message>``;
-it changes neither stdout nor the exit code.
+guaranteed floor) goes to stderr as one line ``gma: warning: <message>``,
+on every call; it changes neither stdout nor the exit code.
 
 Timings never enter the stdout report; with ``--out`` they go to a
 separate ``timings.json`` next to ``report.json`` and any grid
@@ -457,7 +457,7 @@ def _handle_psh_cn(config, args, config_dir):
     from .psh import compute_cn
 
     n = int(config["n"])
-    value = compute_cn(_mollifier(config, n), n)
+    value = compute_cn(_mollifier(config, n))
     report = {"cn": value, "n": n, "kernel": config["kernel"]["type"]}
     return report, {}, 0
 
@@ -572,11 +572,9 @@ def main(argv=None):
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from None
         validate(args.command, args.subcommand, config)
-        shown, warnings.showwarning = warnings.showwarning, _warning_line
-        try:
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
             report, artifacts, code = _HANDLERS[key](config, args, config_path.parent)
-        finally:
-            warnings.showwarning = shown
     except (SchemaError, FanMismatchError, ValueError, TypeError) as exc:
         print(f"gma: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,6 @@ __all__ = [
     "RestrictedCoefficients",
     "restricted_coefficients",
     "wedge_density_oracle",
-    "binomial_product_identity",
     "restriction_identity",
     "sample_cone_profiles",
 ]
@@ -179,9 +178,19 @@ class CoefficientSet:
     def with_c0(self, c0):
         return CoefficientSet(self.n, self.c, float(c0))
 
-    def weight(self, k):
-        """1 / C(n, k), the normalization attached to c_k."""
-        return 1.0 / math.comb(self.n, k)
+    def weights(self, t):
+        """[(k, t c_k / C(n, k))] for each k with c_k > 0: the stage-t weights."""
+        return [
+            (k, t * ck * (1.0 / math.comb(self.n, k)))
+            for k, ck in enumerate(self.c, start=1)
+            if ck
+        ]
+
+    def c0_term(self, t):
+        """(1 - t) c0, the stage-t constant; c0 may be absent only at t = 1."""
+        if t < 1.0 and self.c0 is None:
+            raise ValueError("c0 is required for t < 1 (attach via with_c0)")
+        return (1.0 - t) * (0.0 if self.c0 is None else self.c0)
 
 
 @dataclass(frozen=True)
@@ -237,10 +246,8 @@ def cone_margin(coeffs, t, lam):
     loads = []
     for i in range(n):
         li = 0.0
-        for k in range(1, n):
-            ck = coeffs.c[k - 1]
-            if ck:
-                li += t * ck * coeffs.weight(k) * elem_sym_deleted(x, n - k, i)
+        for k, w in coeffs.weights(t):
+            li += w * elem_sym_deleted(x, n - k, i)
         loads.append(li)
     margin = 1.0 - max(loads)
     return ConeReport(tuple(loads), margin, margin > 0.0)
@@ -255,17 +262,9 @@ def margin_field(coeffs, t, lam):
     n = coeffs.n
     deleted = elem_sym_deleted_all(1.0 / lam)
     load = np.zeros(lam.shape)
-    for k in range(1, n):
-        ck = coeffs.c[k - 1]
-        if ck:
-            load += t * ck * coeffs.weight(k) * deleted[..., :, n - k]
+    for k, w in coeffs.weights(t):
+        load += w * deleted[..., :, n - k]
     return 1.0 - load.max(axis=-1)
-
-
-def _require_c0(coeffs, t):
-    if t < 1.0 and coeffs.c0 is None:
-        raise ValueError("c0 is required for t < 1 (attach via with_c0)")
-    return 0.0 if coeffs.c0 is None else coeffs.c0
 
 
 def operator_value(coeffs, t, f_at_point, lam):
@@ -275,15 +274,13 @@ def operator_value(coeffs, t, f_at_point, lam):
     point; the admissible region is where the cone condition holds.
     """
     prof = _as_profile(coeffs, lam)
-    c0 = _require_c0(coeffs, t)
+    c0_term = coeffs.c0_term(t)
     n = coeffs.n
     x = [1.0 / v for v in prof.values]
     val = 0.0
-    for k in range(1, n):
-        ck = coeffs.c[k - 1]
-        if ck:
-            val += t * ck * coeffs.weight(k) * elem_sym(x, n - k)
-    val += (t * f_at_point + (1.0 - t) * c0) * elem_sym(x, n)
+    for k, w in coeffs.weights(t):
+        val += w * elem_sym(x, n - k)
+    val += (t * f_at_point + c0_term) * elem_sym(x, n)
     return val
 
 
@@ -297,20 +294,16 @@ def operator_gradient(coeffs, t, f_at_point, lam):
     component is negative.
     """
     prof = _as_profile(coeffs, lam)
-    c0 = _require_c0(coeffs, t)
+    c0_term = coeffs.c0_term(t)
     n = coeffs.n
     x = [1.0 / v for v in prof.values]
     sig_n = elem_sym(x, n)
     grad = []
     for i, li in enumerate(prof.values):
         inner = 0.0
-        for k in range(1, n):
-            ck = coeffs.c[k - 1]
-            if ck:
-                inner += (
-                    t * ck * coeffs.weight(k) / li * elem_sym_deleted(x, n - k - 1, i)
-                )
-        inner += (t * f_at_point + (1.0 - t) * c0) * sig_n
+        for k, w in coeffs.weights(t):
+            inner += w / li * elem_sym_deleted(x, n - k - 1, i)
+        inner += (t * f_at_point + c0_term) * sig_n
         grad.append(-inner / li)
     return tuple(grad)
 
@@ -324,15 +317,13 @@ def euler_weighted_sum(coeffs, t, f_at_point, lam):
     a cross-check of `operator_gradient`.
     """
     prof = _as_profile(coeffs, lam)
-    c0 = _require_c0(coeffs, t)
+    c0_term = coeffs.c0_term(t)
     n = coeffs.n
     x = [1.0 / v for v in prof.values]
     total = 0.0
-    for k in range(1, n):
-        ck = coeffs.c[k - 1]
-        if ck:
-            total += t * (n - k) * ck * coeffs.weight(k) * elem_sym(x, n - k)
-    total += n * (t * f_at_point + (1.0 - t) * c0) * elem_sym(x, n)
+    for k, w in coeffs.weights(t):
+        total += (n - k) * w * elem_sym(x, n - k)
+    total += n * (t * f_at_point + c0_term) * elem_sym(x, n)
     return total
 
 
@@ -491,18 +482,8 @@ def wedge_density_oracle(A, X, k):
 
 
 # ---------------------------------------------------------------------------
-# exact binomial identities used by the restriction bookkeeping
+# exact binomial identity used by the restriction bookkeeping
 # ---------------------------------------------------------------------------
-
-def binomial_product_identity(n, l, p, q):
-    """Return (lhs, rhs) of C(n,q) C(l,p) C(l-p, l-q) = C(n,p) C(n-p, n-q) C(l,q).
-
-    Exact integers; the caller asserts equality.
-    """
-    lhs = math.comb(n, q) * math.comb(l, p) * math.comb(l - p, l - q)
-    rhs = math.comb(n, p) * math.comb(n - p, n - q) * math.comb(l, q)
-    return lhs, rhs
-
 
 def restriction_identity(n, m, j, p):
     """Return integer pair (lhs_num * rhs_den, rhs_num * lhs_den) for

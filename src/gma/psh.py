@@ -25,13 +25,11 @@ __all__ = [
     "RadialMollifier",
     "Box",
     "SingularPotential",
-    "smooth_potential",
     "mollify",
     "ball_sup",
     "LelongLevelResult",
     "lelong_level",
     "compute_cn",
-    "KAPPA",
     "expected_abs_difference",
     "regularized_max",
     "GlueReport",
@@ -162,10 +160,6 @@ class SingularPotential:
         return out
 
 
-def smooth_potential(fn, domain):
-    return SingularPotential(0.0, (0.0, 0.0), fn, domain)
-
-
 _MOLLIFY_RADIAL_NODES = 48
 _MOLLIFY_ANGULAR_NODES = 128
 
@@ -272,14 +266,12 @@ def lelong_level(potential, x, delta_list, r):
     return LelongLevelResult(tuple(deltas), tuple(nus), nus[0], float(r))
 
 
-def compute_cn(mollifier, n=None):
+def compute_cn(mollifier):
     """Normalization constant 2 / (|S^{2n-1}| * log-moment + 3^{2n-1}/2^{2n-3}).
 
     The log-weighted radial moment is an exact finite sum; the mollifier
     must satisfy its normalization identity to 1e-6.
     """
-    if n is not None and n != mollifier.n:
-        raise ValueError("compute_cn: n disagrees with the mollifier dimension")
     if mollifier.normalization_defect > 1e-6:
         raise ValueError("compute_cn: mollifier is not normalized")
     n = mollifier.n
@@ -342,9 +334,6 @@ def expected_abs_difference(d):
 
     split = d - 0.5  # above it |d - t| < 1/2, below it d - t >= 1/2
     return _gauss_piece(integrand, -0.5, split) + _gauss_piece(integrand, split, 0.5)
-
-
-KAPPA = expected_abs_difference(0.0) / 2.0  # equals 25/231
 
 
 def _regularized_pair(a, b, eta):

@@ -114,6 +114,7 @@ _GEOMETRY_PROPS = {
     "chi": _MATRIX,
     "omega0": _MATRIX,
     "c": _COEFFS,
+    "scheme": {"enum": ["spectral", "fd"]},
 }
 _GEOMETRY_REQUIRED = ["n", "gridShape", "chi", "omega0", "c"]
 
@@ -161,7 +162,6 @@ SCHEMAS = {
                     },
                 ]
             },
-            "scheme": {"enum": ["spectral", "fd"]},
             "tolerance": {"type": "number", "exclusiveMinimum": 0},
             "dtInit": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             "referencePhi": _TRIG,
@@ -172,7 +172,6 @@ SCHEMAS = {
         {
             **_GEOMETRY_PROPS,
             "phi": _TRIG,
-            "scheme": {"enum": ["spectral", "fd"]},
         },
         _GEOMETRY_REQUIRED + ["phi"],
     ),
@@ -181,7 +180,6 @@ SCHEMAS = {
             **_GEOMETRY_PROPS,
             "f": _TRIG,
             "sList": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "scheme": {"enum": ["spectral", "fd"]},
         },
         _GEOMETRY_REQUIRED + ["f", "sList"],
     ),
@@ -229,7 +227,6 @@ SCHEMAS = {
             "global": _TRIG,
             "eta": {"type": "number", "exclusiveMinimum": 0},
             "offset": _NUMBER,
-            "scheme": {"enum": ["spectral", "fd"]},
         },
         _GEOMETRY_REQUIRED + ["local", "global", "eta", "offset"],
     ),

@@ -371,9 +371,8 @@ def _require_positive(lam, message, report_value=True):
 def _operator_coeffs(coeffs, t):
     """a_0..a_n of the symmetric part sum_k a_k e_k(lam) of the stage-t residual:
     a_0 = 0, a_k = -t c_k / C(n,k) for 0 < k < n, a_n = 1."""
-    n = coeffs.n
-    inner = [-(t * coeffs.c[k - 1] * coeffs.weight(k)) for k in range(1, n)]
-    return [0.0] + inner + [1.0]
+    weight = dict(coeffs.weights(t))
+    return [0.0] + [-weight.get(k, 0.0) for k in range(1, coeffs.n)] + [1.0]
 
 
 def _sym_part(coeffs, t, lam):
@@ -390,10 +389,7 @@ def _sym_part(coeffs, t, lam):
 
 def _residual_from_lam(coeffs, t, f_grid, lam, slack):
     G = _sym_part(coeffs, t, lam)
-    c0 = coeffs.c0 if coeffs.c0 is not None else 0.0
-    if t < 1.0 and coeffs.c0 is None:
-        raise ValueError("residual: c0 required for t < 1 (attach via with_c0)")
-    return G - t * f_grid - (1.0 - t) * c0 - slack
+    return G - t * f_grid - coeffs.c0_term(t) - slack
 
 
 def _check_f_grid(geom, f_grid):

@@ -29,8 +29,6 @@ __all__ = [
     "volume",
     "mixed_volume",
     "minkowski_sum",
-    "scale_polytope",
-    "translate_polytope",
     "intersection_number",
     "check_criterion",
     "jequation_constant",
@@ -376,18 +374,6 @@ def minkowski_sum(P, Q):
     if P.dim != Q.dim:
         raise ValueError("minkowski_sum: dimension mismatch")
     return RationalPolytope([_add(v, w) for v in P.vertices for w in Q.vertices])
-
-
-def scale_polytope(P, s):
-    s = _rat(s)
-    if s <= 0:
-        raise ValueError("scale must be positive")
-    return RationalPolytope([tuple(s * c for c in v) for v in P.vertices])
-
-
-def translate_polytope(P, t):
-    t = _point(t)
-    return RationalPolytope([_add(v, t) for v in P.vertices])
 
 
 def mixed_volume(polys):

@@ -191,7 +191,7 @@ def test_criterion_3_constants(capsys):
             )
     eig_ok = eig_worst <= 1e-9
 
-    cn = compute_cn(RadialMollifier.constant(1), 1)
+    cn = compute_cn(RadialMollifier.constant(1))
     cn_ok = abs(cn - 4.0 / 13.0) <= 1e-10
 
     ok = floor_ok and eig_ok and cn_ok

@@ -291,8 +291,10 @@ def test_solve_classpath_json_and_csv(tmp_path):
     assert any("guaranteed floor" in line for line in warned)
     assert not any(".py" in line for line in warned)
 
-    code, out, _ = run_cli(["solve", "classpath", "--config", cfg, "--format", "csv"])
+    code, out, csv_err = run_cli(["solve", "classpath", "--config", cfg, "--format", "csv"])
     assert code == 0
+    # a second in-process call prints the same warnings again
+    assert csv_err == err
     lines = out.strip().splitlines()
     assert lines[0] == "s,shift,solvable,minConeMargin,residualSup,error"
     assert len(lines) == 3

@@ -1,11 +1,12 @@
 """Module boundaries: no gma module imports another module's private names,
-no gma module loads scipy, and the benchmark tracer still finds every entry
-point it wraps by name."""
+no gma module loads scipy, every public name is listed where it is defined,
+and the benchmark tracer still finds every entry point it wraps by name."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import math
 import subprocess
 import sys
@@ -31,6 +32,18 @@ def test_no_private_cross_module_imports():
                     if alias.name.startswith("_")
                 ]
     assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)
+
+
+def test_public_names_resolve():
+    # the bench tracer getattr()s every __all__ entry, so a stale one breaks it
+    for name in ("kernel", "solver", "psh", "toric"):
+        module = importlib.import_module(f"gma.{name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+        defined = {
+            n for n, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__ and not n.startswith("_")
+        }
+        assert sorted(defined - set(module.__all__)) == [], name
 
 
 def test_package_imports_without_scipy(child_env):

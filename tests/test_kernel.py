@@ -11,7 +11,6 @@ import scipy.linalg
 from gma.kernel import (
     CoefficientSet,
     EigenProfile,
-    binomial_product_identity,
     cone_margin,
     elem_sym,
     elem_sym_all,
@@ -44,6 +43,12 @@ def _conv_elem_syms(lam):
     for v in lam:
         coeffs = np.convolve(coeffs, np.array([1.0, v]))
     return coeffs
+
+
+def binomial_product_identity(n, l, p, q):
+    # (lhs, rhs) of C(n,q) C(l,p) C(l-p, l-q) = C(n,p) C(n-p, n-q) C(l,q), exact integers
+    return (math.comb(n, q) * math.comb(l, p) * math.comb(l - p, l - q),
+            math.comb(n, p) * math.comb(n - p, n - q) * math.comb(l, q))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import scipy.integrate
 
 from gma.kernel import CoefficientSet, margin_field
 from gma.psh import (
-    KAPPA,
     Box,
     RadialMollifier,
     SingularPotential,
@@ -21,7 +20,6 @@ from gma.psh import (
     mollify,
     regularized_max,
     shifted_cone_epsilon,
-    smooth_potential,
     sphere_area,
 )
 from gma.solver import (
@@ -34,6 +32,11 @@ from gma.solver import (
 
 BOX = Box((-1.0, -1.0), (1.0, 1.0))
 PI2 = math.pi**2
+KAPPA = expected_abs_difference(0.0) / 2.0  # the equal-argument shift of regularized_max
+
+
+def _smooth(fn):
+    return SingularPotential(0.0, (0.0, 0.0), fn, BOX)
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +67,14 @@ def test_mollifier_rejects_bad_dimension():
 
 def test_mollify_constant_potential():
     kernel = RadialMollifier.polynomial(1)
-    phi = smooth_potential(lambda p: 7.0 + 0.0 * p[..., 0], BOX)
+    phi = _smooth(lambda p: 7.0 + 0.0 * p[..., 0])
     for delta, x in [(0.1, (0.0, 0.0)), (0.4, (0.3, -0.2))]:
         assert mollify(phi, kernel, delta, x) == pytest.approx(7.0, abs=1e-12)
 
 
 def test_mollify_linear_potential_exact():
     kernel = RadialMollifier.polynomial(1)
-    phi = smooth_potential(lambda p: 3.0 * p[..., 0] + 2.0 * p[..., 1] - 1.0, BOX)
+    phi = _smooth(lambda p: 3.0 * p[..., 0] + 2.0 * p[..., 1] - 1.0)
     x = (0.25, -0.1)
     assert mollify(phi, kernel, 0.3, x) == pytest.approx(
         3.0 * x[0] + 2.0 * x[1] - 1.0, abs=1e-12
@@ -80,7 +83,7 @@ def test_mollify_linear_potential_exact():
 
 def test_mollify_quadratic_radial_oracle():
     kernel = RadialMollifier.polynomial(1)
-    phi = smooth_potential(lambda p: np.sum(p * p, axis=-1), BOX)
+    phi = _smooth(lambda p: np.sum(p * p, axis=-1))
     delta = 0.3
     moment, _ = scipy.integrate.quad(lambda t: kernel.rho(t) * t**3, 0.0, 1.0)
     expected = delta**2 * 2.0 * math.pi * moment
@@ -97,8 +100,8 @@ def test_mollify_log_mean_value_matches_quadrature():
     w = math.hypot(x[0] - center[0], x[1] - center[1])
     assert exact == pytest.approx(gamma * 2.0 * math.log(w), rel=1e-14)
 
-    as_smooth = smooth_potential(
-        lambda p: gamma * np.log(np.sum((p - np.asarray(center)) ** 2, axis=-1)), BOX
+    as_smooth = _smooth(
+        lambda p: gamma * np.log(np.sum((p - np.asarray(center)) ** 2, axis=-1))
     )
     assert mollify(as_smooth, kernel, delta, x) == pytest.approx(exact, abs=1e-10)
 
@@ -148,7 +151,7 @@ def test_mollify_log_near_singularity_polynomial_kernel_quadrature(ratio):
 
 def test_mollify_domain_and_delta_guards():
     kernel = RadialMollifier.polynomial(1)
-    phi = smooth_potential(lambda p: 0.0 * p[..., 0], BOX)
+    phi = _smooth(lambda p: 0.0 * p[..., 0])
     with pytest.raises(ValueError):
         mollify(phi, kernel, 0.5, (0.9, 0.0))
     with pytest.raises(ValueError):
@@ -204,9 +207,7 @@ def test_lelong_additive_for_log_plus_radial_smooth():
     log_only = lelong_level(
         SingularPotential(gamma, (0.0, 0.0), None, BOX), (0.0, 0.0), deltas, r
     )
-    smooth_only = lelong_level(
-        smooth_potential(bump, BOX), (0.0, 0.0), deltas, r
-    )
+    smooth_only = lelong_level(_smooth(bump), (0.0, 0.0), deltas, r)
     for a, b, c in zip(combined.nu_at_delta, log_only.nu_at_delta,
                        smooth_only.nu_at_delta):
         assert a == pytest.approx(b + c, abs=1e-9)
@@ -223,7 +224,7 @@ def test_lelong_monotone_in_delta():
 
 def test_lelong_smooth_potential_vanishes():
     r = 0.2
-    phi = smooth_potential(lambda p: np.sum(p * p, axis=-1), BOX)
+    phi = _smooth(lambda p: np.sum(p * p, axis=-1))
     result = lelong_level(phi, (0.0, 0.0), [1e-3 * r], r)
     assert 0.0 <= result.extrapolated <= 1e-3
 
@@ -248,7 +249,7 @@ def test_cn_constant_kernel_closed_form():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cn_positive(n):
-    assert compute_cn(RadialMollifier.polynomial(n), n) > 0.0
+    assert compute_cn(RadialMollifier.polynomial(n)) > 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -269,11 +270,6 @@ def test_cn_rejects_unnormalized_kernel():
     assert bad.normalization_defect > 1e-6
     with pytest.raises(ValueError):
         compute_cn(bad)
-
-
-def test_cn_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        compute_cn(RadialMollifier.polynomial(1), n=2)
 
 
 # ---------------------------------------------------------------------------

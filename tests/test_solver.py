@@ -16,7 +16,7 @@ from gma.exceptions import (
     LinearSolveStallError,
     StepUnderflowError,
 )
-from gma.kernel import CoefficientSet, elem_sym
+from gma.kernel import CoefficientSet, elem_sym, operator_value
 from gma.solver import (
     ClassPathReport,
     TorusGeometry,
@@ -211,6 +211,32 @@ def test_residual_detects_lost_positivity():
     phi = two_mode(geom.grid_shape, 1.0)
     with pytest.raises(ConeBreachError):
         residual(geom, coeffs, np.zeros(geom.grid_shape), 0.5, phi)
+
+
+def test_residual_matches_kernel_operator_value():
+    # r = e_n(lam) (1 - V(t, f, lam)) - slack pointwise, V the scalar kernel oracle
+    slack = 0.01
+    cases = [((16,), ()), ((12, 12), (0.0,)), ((12, 12), (0.7,)),
+             ((8, 8, 8), (0.0, 0.6)), ((8, 8, 8), (0.4, 0.9))]
+    for shape, c in cases:
+        geom, phi, _ = _rough_case(shape, seed=3)
+        f = np.random.default_rng(5).uniform(-0.5, 1.0, size=shape)
+        bare = CoefficientSet(len(shape), c)
+        coeffs = bare.with_c0(0.37)
+        lam = eigenvalue_field(geom, phi)
+        e_n = lam.prod(axis=-1)
+        for t in (0.0, 0.3, 1.0):
+            r = residual(geom, coeffs, f, t, phi, slack)
+            expected = np.empty(shape)
+            for idx in np.ndindex(shape):
+                value = operator_value(coeffs, t, f[idx], lam[idx])
+                expected[idx] = e_n[idx] * (1.0 - value) - slack
+            assert np.abs(r - expected).max() <= 1e-13 * e_n.max(), (shape, c, t)
+        first = (0,) * len(shape)
+        with pytest.raises(ValueError, match="c0 is required"):
+            residual(geom, bare, f, 0.3, phi, slack)
+        with pytest.raises(ValueError, match="c0 is required"):
+            operator_value(bare, 0.3, f[first], lam[first])
 
 
 def test_cone_margin_frozen_values():

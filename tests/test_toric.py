@@ -12,8 +12,6 @@ from gma.toric import (
     jequation_constant,
     minkowski_sum,
     mixed_volume,
-    scale_polytope,
-    translate_polytope,
     volume,
 )
 
@@ -36,6 +34,14 @@ def cube():
 
 def simplex3():
     return RationalPolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def scale_polytope(P, s):
+    return RationalPolytope([tuple(F(s) * c for c in v) for v in P.vertices])
+
+
+def translate_polytope(P, t):
+    return RationalPolytope([tuple(c + d for c, d in zip(v, t)) for v in P.vertices])
 
 
 def random_polygon(rng, span=6):
