@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -56,23 +57,29 @@ _CSV_COMMANDS = {("psh", "lelong"), ("solve", "classpath")}
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def _rat_str(value):
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _camel(key):
+    head, *rest = str(key).split("_")
+    return head + "".join(part[:1].upper() + part[1:] for part in rest)
+
+
+def _fields(record):
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
 def _sanitize(obj):
-    """Reduce a report tree to plain JSON types; non-finite floats -> None."""
+    """Reduce a report tree to plain JSON types: a result record becomes the
+    dict of its declared fields, every key its camelCase (``per_index_load``
+    -> ``perIndexLoad``), a Fraction "p/q", a non-finite float None."""
     import numpy as np
 
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = _fields(obj)
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
+        return {_camel(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, Fraction):
-        return _rat_str(obj)
+        return str(obj)  # "p/q", or "p" when q = 1
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
@@ -206,12 +213,7 @@ def _handle_kernel_cone(config, args, config_dir):
 
     coeffs = CoefficientSet(int(config["n"]), tuple(float(v) for v in config["c"]))
     rep = cone_margin(coeffs, float(config.get("t", 1.0)), np.array(config["lambda"]))
-    report = {
-        "margin": rep.margin,
-        "satisfied": rep.satisfied,
-        "perIndexLoad": list(rep.per_index_load),
-    }
-    return report, {}, 0
+    return rep, {}, 0
 
 
 def _handle_kernel_fm(config, args, config_dir):
@@ -320,16 +322,7 @@ def _handle_solve_run(config, args, config_dir):
         "slack": state.slack,
         "minConeMargin": state.min_cone_margin,
         "phiSupNorm": float(np.abs(state.phi).max()),
-        "stages": [
-            {
-                "t": s["t"],
-                "residualSup": s["residual_sup"],
-                "minConeMargin": s["min_cone_margin"],
-                "slack": s["slack"],
-                "newtonIterations": s["newton_iterations"],
-            }
-            for s in state.stages
-        ],
+        "stages": state.stages,
     }
     if "referencePhi" in config:
         ref = _trig_grid(geom.grid_shape, config["referencePhi"])
@@ -361,21 +354,7 @@ def _handle_solve_classpath(config, args, config_dir):
     geom, coeffs = _geometry(config)
     f_grid = _trig_grid(geom.grid_shape, config["f"])
     probe = class_path_probe(geom, coeffs, f_grid, [float(s) for s in config["sList"]])
-    report = {
-        "rows": [
-            {
-                "s": r["s"],
-                "shift": r["shift"],
-                "solvable": r["solvable"],
-                "minConeMargin": r["min_cone_margin"],
-                "residualSup": r["residual_sup"],
-                "error": r["error"],
-            }
-            for r in probe.rows
-        ],
-        "upwardClosed": probe.upward_closed,
-    }
-    return report, {}, 0
+    return {"rows": probe.rows, "upwardClosed": probe.upward_closed}, {}, 0
 
 
 def _handle_toric_check(config, args, config_dir):
@@ -395,23 +374,11 @@ def _handle_toric_check(config, args, config_dir):
     pair = ClassPolytopePair(p_omega, p_chi, face_labels=labels)
     result = check_criterion(pair, [rat(v) for v in config["c"]])
     report = {
+        **_fields(result),
         "n": pair.n,
-        "passed": result.passed,
-        "epsilonUniform": _rat_str(result.epsilon_uniform),
-        "epsilonUniformFloat": float(result.epsilon_uniform),
-        "worstFace": result.worst_face,
-        "compatibilityValue": _rat_str(result.compatibility_value),
-        "perFace": [
-            {
-                "faceId": row.face_id,
-                "codim": row.codim,
-                "lhs": _rat_str(row.lhs),
-                "lhsFloat": float(row.lhs),
-                "rhsScale": _rat_str(row.rhs_scale),
-                "ratio": _rat_str(row.ratio),
-                "ratioFloat": float(row.ratio),
-                "conditioned": row.conditioned,
-            }
+        "epsilon_uniform_float": float(result.epsilon_uniform),
+        "per_face": [
+            {**_fields(row), "lhs_float": float(row.lhs), "ratio_float": float(row.ratio)}
             for row in result.per_face
         ],
     }
@@ -444,13 +411,7 @@ def _handle_psh_lelong(config, args, config_dir):
         [float(d) for d in config["deltaList"]],
         float(config["r"]),
     )
-    report = {
-        "deltas": list(result.deltas),
-        "nuAtDelta": list(result.nu_at_delta),
-        "extrapolated": result.extrapolated,
-        "r": result.r,
-    }
-    return report, {}, 0
+    return result, {}, 0
 
 
 def _handle_psh_cn(config, args, config_dir):
@@ -477,15 +438,9 @@ def _handle_psh_glue(config, args, config_dir):
         float(config["eta"]),
         float(config["offset"]),
     )
-    report = {
-        "gluedMinMargin": rep.glued_min_margin,
-        "blendMinMargin": rep.blend_min_margin,
-        "localPoints": rep.local_points,
-        "globalPoints": rep.global_points,
-        "blendPoints": rep.blend_points,
-        "marginConflict": rep.margin_conflict,
-    }
-    return report, {"glued.grid": rep.glued}, 0
+    report = _fields(rep)
+    artifacts = {"glued.grid": report.pop("glued")}
+    return report, artifacts, 0
 
 
 _HANDLERS = {
@@ -593,10 +548,10 @@ def main(argv=None):
             _write_outputs(args.out, rendered, {}, time.perf_counter() - started)
         return 1
 
-    report = {"schemaVersion": SCHEMA_VERSION, **report}
-    rendered_json = _render_json(_sanitize(report))
+    report = {"schemaVersion": SCHEMA_VERSION, **_sanitize(report)}
+    rendered_json = _render_json(report)
     if args.format == "csv":
-        print(_render_csv(key, _sanitize(report)))
+        print(_render_csv(key, report))
     else:
         print(rendered_json)
     if args.out:

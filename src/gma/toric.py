@@ -412,7 +412,7 @@ class ClassPolytopePair:
     """Moment polytopes of the two classes; they must share a normal fan
     (identical primitive facet-normal sets and face incidences) so faces
     correspond one-to-one.  face_labels optionally names codim-1 faces by
-    their outer normal."""
+    their outer normal; a key that is not a facet normal is a ValueError."""
 
     p_omega: RationalPolytope
     p_chi: RationalPolytope
@@ -430,19 +430,21 @@ class ClassPolytopePair:
                 raise FanMismatchError(
                     f"face incidences differ at codimension {codim}"
                 )
+        labels = {}
+        for normal, label in (self.face_labels or {}).items():
+            if tuple(normal) not in self.p_omega.facet_normals:
+                raise ValueError(f"faceLabels: {tuple(normal)} is not a facet normal")
+            labels[frozenset({tuple(normal)})] = label
         object.__setattr__(self, "_omega_faces", omega_keys)
         object.__setattr__(self, "_chi_faces", chi_keys)
+        object.__setattr__(self, "_labels", labels)
 
     @property
     def n(self):
         return self.p_omega.dim
 
     def face_name(self, face):
-        if self.face_labels:
-            for normal, label in self.face_labels.items():
-                if frozenset({tuple(normal)}) == face.active:
-                    return label
-        return face.face_id
+        return self._labels.get(face.active, face.face_id)
 
     def faces(self):
         """All proper faces of codimension 1..n-1 as (name, omega face, chi face)."""
@@ -453,12 +455,6 @@ class ClassPolytopePair:
                 fc = self._chi_faces[codim][active]
                 out.append((self.face_name(fo), fo, fc))
         return out
-
-    def find_face(self, key):
-        for name, fo, fc in self.faces():
-            if name == key or fo.active == key:
-                return name, fo, fc
-        raise KeyError(f"no face named {key!r}")
 
 
 def _face_polytopes_in_lattice(fo, fc):
@@ -479,14 +475,17 @@ def _face_polytopes_in_lattice(fo, fc):
 def intersection_number(pair, face_key, a, b):
     """int_V Omega^a chi^b over the subvariety of the face: (n-p)! times the
     lattice-normalized mixed volume of a copies of the Omega face and b
-    copies of the chi face.  face_key None selects the whole space (p=0)."""
+    copies of the chi face.  face_key is a face's active normal set, or None
+    for the whole space (p=0)."""
     n = pair.n
     if face_key is None:
         p = 0
         po, pc, index = pair.p_omega, pair.p_chi, 1
     else:
-        _, fo, fc = pair.find_face(face_key)
-        p = fo.codim
+        p = len(face_key)  # a proper face in dimension <= 3 lies on exactly codim facets
+        if face_key not in pair._omega_faces.get(p, ()):
+            raise KeyError(f"no face with active normals {sorted(face_key)}")
+        fo, fc = pair._omega_faces[p][face_key], pair._chi_faces[p][face_key]
         po, pc, index = _face_polytopes_in_lattice(fo, fc)
     if a < 0 or b < 0 or a + b != n - p:
         raise ValueError(f"exponent mismatch: need a + b = {n - p}")

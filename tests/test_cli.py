@@ -41,10 +41,13 @@ def run_json(argv):
 # kernel commands
 # ---------------------------------------------------------------------------
 
+CONE_CONFIG = {"schemaVersion": 1, "n": 2, "c": [1.0], "lambda": [1.0, 1.0]}
+FM_CONFIG = {"schemaVersion": 1, "n": 2, "c": [1.0], "ratio": 1.0}
+IDENTITIES_CONFIG = {"schemaVersion": 1, "nList": [1, 2, 3, 4, 5, 6, 7, 8], "samples": 100}
+
+
 def test_kernel_cone_reports_margin(tmp_path):
-    cfg = write_config(
-        tmp_path, {"schemaVersion": 1, "n": 2, "c": [1.0], "lambda": [1.0, 1.0]}
-    )
+    cfg = write_config(tmp_path, CONE_CONFIG)
     code, report = run_json(["kernel", "cone", "--config", cfg])
     assert code == 0
     assert report["margin"] == 0.5
@@ -53,9 +56,7 @@ def test_kernel_cone_reports_margin(tmp_path):
 
 
 def test_kernel_fm_frozen_floor(tmp_path):
-    cfg = write_config(
-        tmp_path, {"schemaVersion": 1, "n": 2, "c": [1.0], "ratio": 1.0}
-    )
+    cfg = write_config(tmp_path, FM_CONFIG)
     code, report = run_json(["kernel", "fm", "--config", cfg])
     assert code == 0
     assert report["floor"] == -1.0 / 512.0
@@ -64,10 +65,7 @@ def test_kernel_fm_frozen_floor(tmp_path):
 
 
 def test_kernel_identities_sweep_passes(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {"schemaVersion": 1, "nList": [1, 2, 3, 4, 5, 6, 7, 8], "samples": 100},
-    )
+    cfg = write_config(tmp_path, IDENTITIES_CONFIG)
     code, report = run_json(["kernel", "identities", "--config", cfg, "--seed", "3"])
     assert code == 0
     assert report["passed"] is True
@@ -164,6 +162,33 @@ def solve_config(**extra):
     return base
 
 
+MANUFACTURE_PHI = {
+    "terms": [
+        {"amplitude": 0.02, "wave": [1, 0]},
+        {"amplitude": 0.015, "wave": [0, 1], "phase": 0.4},
+    ]
+}
+MANUFACTURE_CONFIG = {
+    "schemaVersion": 1,
+    "n": 2,
+    "gridShape": [24, 24],
+    "chi": IDENTITY2,
+    "omega0": [[1.5, 0.2], [0.2, 1.0]],
+    "c": [0.8],
+    "phi": MANUFACTURE_PHI,
+}
+CLASSPATH_CONFIG = {
+    "schemaVersion": 1,
+    "n": 2,
+    "gridShape": [16, 16],
+    "chi": IDENTITY2,
+    "omega0": [[0.45, 0.0], [0.0, 0.45]],
+    "c": [1.0],
+    "f": {"constant": 0.0},
+    "sList": [0.0, 0.5],
+}
+
+
 def test_solve_run_trivial_source(tmp_path):
     out_dir = tmp_path / "out"
     cfg = write_config(tmp_path, solve_config())
@@ -187,22 +212,7 @@ def test_solve_run_trivial_source(tmp_path):
 
 def test_solve_manufacture_then_roundtrip(tmp_path):
     out_dir = tmp_path / "manu"
-    phi_spec = {
-        "terms": [
-            {"amplitude": 0.02, "wave": [1, 0]},
-            {"amplitude": 0.015, "wave": [0, 1], "phase": 0.4},
-        ]
-    }
-    manu = {
-        "schemaVersion": 1,
-        "n": 2,
-        "gridShape": [24, 24],
-        "chi": IDENTITY2,
-        "omega0": [[1.5, 0.2], [0.2, 1.0]],
-        "c": [0.8],
-        "phi": phi_spec,
-    }
-    cfg = write_config(tmp_path, manu, "manu.json")
+    cfg = write_config(tmp_path, MANUFACTURE_CONFIG, "manu.json")
     code, report = run_json(
         ["solve", "manufacture", "--config", cfg, "--out", str(out_dir)]
     )
@@ -219,7 +229,7 @@ def test_solve_manufacture_then_roundtrip(tmp_path):
         "omega0": [[1.5, 0.2], [0.2, 1.0]],
         "c": [0.8],
         "f": {"gridFile": str(out_dir / "f.grid")},
-        "referencePhi": phi_spec,
+        "referencePhi": MANUFACTURE_PHI,
     }
     cfg2 = write_config(tmp_path, run_cfg, "roundtrip.json")
     code, report = run_json(["solve", "run", "--config", cfg2])
@@ -266,17 +276,7 @@ def test_solve_run_missing_gridfile_exits_2(tmp_path):
 
 
 def test_solve_classpath_json_and_csv(tmp_path):
-    payload = {
-        "schemaVersion": 1,
-        "n": 2,
-        "gridShape": [16, 16],
-        "chi": IDENTITY2,
-        "omega0": [[0.45, 0.0], [0.0, 0.45]],
-        "c": [1.0],
-        "f": {"constant": 0.0},
-        "sList": [0.0, 0.5],
-    }
-    cfg = write_config(tmp_path, payload)
+    cfg = write_config(tmp_path, CLASSPATH_CONFIG)
     code, out, err = run_cli(["solve", "classpath", "--config", cfg])
     assert code == 0
     report = json.loads(out)
@@ -306,14 +306,23 @@ def test_solve_classpath_json_and_csv(tmp_path):
 # toric command
 # ---------------------------------------------------------------------------
 
+TORIC_PASSING = {
+    "schemaVersion": 1,
+    "pOmega": [[0, 0], [2, 0], [0, 2]],
+    "pChi": [[0, 0], [1, 0], [0, 1]],
+    "c": [2],
+}
+TORIC_FAILING = {
+    "schemaVersion": 1,
+    "pOmega": [[0, 1], [0, 2], [2, 0], [1, 0]],
+    "pChi": [[0, "9/10"], [0, 1], [1, 0], ["9/10", 0]],
+    "c": ["30/11"],
+    "faceLabels": {"-1,-1": "E"},
+}
+
+
 def test_toric_check_passing_instance(tmp_path):
-    payload = {
-        "schemaVersion": 1,
-        "pOmega": [[0, 0], [2, 0], [0, 2]],
-        "pChi": [[0, 0], [1, 0], [0, 1]],
-        "c": [2],
-    }
-    cfg = write_config(tmp_path, payload)
+    cfg = write_config(tmp_path, TORIC_PASSING)
     code, report = run_json(["toric", "check", "--config", cfg])
     assert code == 0
     assert report["passed"] is True
@@ -324,14 +333,7 @@ def test_toric_check_passing_instance(tmp_path):
 
 
 def test_toric_check_failing_instance_exits_3(tmp_path):
-    payload = {
-        "schemaVersion": 1,
-        "pOmega": [[0, 1], [0, 2], [2, 0], [1, 0]],
-        "pChi": [[0, "9/10"], [0, 1], [1, 0], ["9/10", 0]],
-        "c": ["30/11"],
-        "faceLabels": {"-1,-1": "E"},
-    }
-    cfg = write_config(tmp_path, payload)
+    cfg = write_config(tmp_path, TORIC_FAILING)
     code, report = run_json(["toric", "check", "--config", cfg])
     assert code == 3
     assert report["passed"] is False
@@ -340,6 +342,21 @@ def test_toric_check_failing_instance_exits_3(tmp_path):
     by_face = {row["faceId"]: row for row in report["perFace"]}
     assert by_face["E"]["lhs"] == "-5/11"
     assert by_face["E"]["lhsFloat"] == pytest.approx(-5.0 / 11.0)
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [({"9,9": "bogus", "0,-2": "typo"}, "(9, 9)"), ({"0,-2": "typo"}, "(0, -2)")],
+    ids=["not-a-normal", "not-primitive"],
+)
+def test_toric_unknown_face_label_exits_2(tmp_path, labels, bad):
+    unit = [[0, 0], [1, 0], [0, 1]]
+    payload = {"schemaVersion": 1, "pOmega": unit, "pChi": unit, "c": [1], "faceLabels": labels}
+    cfg = write_config(tmp_path, payload)
+    code, out, err = run_cli(["toric", "check", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert err == f"gma: faceLabels: {bad} is not a facet normal\n"
 
 
 def test_toric_fan_mismatch_exits_2(tmp_path):
@@ -373,10 +390,43 @@ def test_toric_float_coefficient_exits_2(tmp_path):
 # psh commands
 # ---------------------------------------------------------------------------
 
+CN_CONFIG = {"schemaVersion": 1, "kernel": {"type": "constant"}, "n": 1}
+MOLLIFY_CONFIG = {
+    "schemaVersion": 1,
+    "potential": {
+        "gamma": 0.0,
+        "center": [0.0, 0.0],
+        "smooth": {"type": "constant", "value": 7.0},
+    },
+    "kernel": {"type": "polynomial"},
+    "delta": 0.05,
+    "x": [0.1, -0.2],
+}
+LELONG_CONFIG = {
+    "schemaVersion": 1,
+    "potential": {"gamma": 1.0, "center": [0.0, 0.0]},
+    "x": [0.0, 0.0],
+    "deltaList": [0.025, 0.0125],
+    "r": 0.2,
+}
+GLUE_CONFIG = {
+    "schemaVersion": 1,
+    "n": 2,
+    "gridShape": [32, 32],
+    "chi": IDENTITY2,
+    "omega0": IDENTITY2,
+    "c": [1.0],
+    "t": 1.0,
+    "local": {"constant": 1.0},
+    "global": {"constant": 0.0},
+    "eta": 0.5,
+    "offset": 0.0,
+    "scheme": "fd",
+}
+
+
 def test_psh_cn_constant_kernel(tmp_path):
-    cfg = write_config(
-        tmp_path, {"schemaVersion": 1, "kernel": {"type": "constant"}, "n": 1}
-    )
+    cfg = write_config(tmp_path, CN_CONFIG)
     code, report = run_json(["psh", "cn", "--config", cfg])
     assert code == 0
     assert abs(report["cn"] - 4.0 / 13.0) <= 1e-10
@@ -393,32 +443,14 @@ def test_psh_cn_dimension_beyond_float_range_exits_2(tmp_path):
 
 
 def test_psh_mollify_constant_potential(tmp_path):
-    payload = {
-        "schemaVersion": 1,
-        "potential": {
-            "gamma": 0.0,
-            "center": [0.0, 0.0],
-            "smooth": {"type": "constant", "value": 7.0},
-        },
-        "kernel": {"type": "polynomial"},
-        "delta": 0.05,
-        "x": [0.1, -0.2],
-    }
-    cfg = write_config(tmp_path, payload)
+    cfg = write_config(tmp_path, MOLLIFY_CONFIG)
     code, report = run_json(["psh", "mollify", "--config", cfg])
     assert code == 0
     assert abs(report["value"] - 7.0) <= 1e-10
 
 
 def test_psh_lelong_json_and_csv(tmp_path):
-    payload = {
-        "schemaVersion": 1,
-        "potential": {"gamma": 1.0, "center": [0.0, 0.0]},
-        "x": [0.0, 0.0],
-        "deltaList": [0.025, 0.0125],
-        "r": 0.2,
-    }
-    cfg = write_config(tmp_path, payload)
+    cfg = write_config(tmp_path, LELONG_CONFIG)
     code, report = run_json(["psh", "lelong", "--config", cfg])
     assert code == 0
     assert report["nuAtDelta"] == pytest.approx([2.0, 2.0], abs=1e-12)
@@ -435,21 +467,7 @@ def test_psh_lelong_json_and_csv(tmp_path):
 
 def test_psh_glue_exact_switch(tmp_path):
     out_dir = tmp_path / "glue"
-    payload = {
-        "schemaVersion": 1,
-        "n": 2,
-        "gridShape": [32, 32],
-        "chi": IDENTITY2,
-        "omega0": IDENTITY2,
-        "c": [1.0],
-        "t": 1.0,
-        "local": {"constant": 1.0},
-        "global": {"constant": 0.0},
-        "eta": 0.5,
-        "offset": 0.0,
-        "scheme": "fd",
-    }
-    cfg = write_config(tmp_path, payload)
+    cfg = write_config(tmp_path, GLUE_CONFIG)
     code, report = run_json(
         ["psh", "glue", "--config", cfg, "--out", str(out_dir)]
     )
@@ -461,6 +479,88 @@ def test_psh_glue_exact_switch(tmp_path):
     assert report["marginConflict"] is False
     glued = read_grid(out_dir / "glued.grid")
     assert np.all(glued == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# report key sets: a renamed result field would rename a report key
+# ---------------------------------------------------------------------------
+
+TORIC_KEYS = {
+    "": ["compatibilityValue", "epsilonUniform", "epsilonUniformFloat", "n",
+         "passed", "perFace", "schemaVersion", "worstFace"],
+    "perFace[*]": ["codim", "conditioned", "faceId", "lhs", "lhsFloat", "ratio",
+                   "ratioFloat", "rhsScale"],
+}
+SOLVE_RUN_KEYS = ["c0", "classDefect", "finalResidualSup", "minConeMargin",
+                  "phiSupNorm", "schemaVersion", "slack", "stages"]
+STAGE_KEYS = ["minConeMargin", "newtonIterations", "residualSup", "slack", "t"]
+
+
+@pytest.mark.parametrize(
+    "command, config, exit_code, keys",
+    [
+        pytest.param("kernel cone", CONE_CONFIG, 0,
+                     {"": ["margin", "perIndexLoad", "satisfied", "schemaVersion"]},
+                     id="kernel-cone"),
+        pytest.param("kernel fm", FM_CONFIG, 0,
+                     {"": ["floor", "kConstant", "schemaVersion", "terms"],
+                      "terms": ["classRatio", "garding", "k", "power", "quadratic"]},
+                     id="kernel-fm"),
+        pytest.param("kernel identities", IDENTITIES_CONFIG, 0,
+                     {"": ["checks", "nList", "passed", "samples", "schemaVersion",
+                           "seed", "tolerance"],
+                      "checks": ["dualRoute", "maclaurinMonotone", "recurrence"]},
+                     id="kernel-identities"),
+        pytest.param("solve run", solve_config(), 0,
+                     {"": SOLVE_RUN_KEYS, "stages[*]": STAGE_KEYS}, id="solve-run"),
+        pytest.param("solve run", solve_config(referencePhi={"constant": 0.0}), 0,
+                     {"": sorted(SOLVE_RUN_KEYS + ["referenceSupError"]),
+                      "stages[*]": STAGE_KEYS},
+                     id="solve-run-reference"),
+        pytest.param("solve run", solve_config(f={"constant": 0.5}), 1,
+                     {"": ["error", "schemaVersion"],
+                      "error": ["defect", "message", "type"]},
+                     id="solve-run-error"),
+        pytest.param("solve manufacture", MANUFACTURE_CONFIG, 0,
+                     {"": ["c0", "classDefect", "fMean", "fMin", "schemaVersion"]},
+                     id="solve-manufacture"),
+        pytest.param("solve classpath", CLASSPATH_CONFIG, 0,
+                     {"": ["rows", "schemaVersion", "upwardClosed"],
+                      "rows[*]": ["error", "minConeMargin", "residualSup", "s",
+                                  "shift", "solvable"]},
+                     id="solve-classpath"),
+        pytest.param("toric check", TORIC_PASSING, 0, TORIC_KEYS, id="toric-check"),
+        pytest.param("toric check", TORIC_FAILING, 3, TORIC_KEYS, id="toric-check-fails"),
+        pytest.param("psh mollify", MOLLIFY_CONFIG, 0,
+                     {"": ["delta", "kernel", "schemaVersion", "value", "x"]},
+                     id="psh-mollify"),
+        pytest.param("psh lelong", LELONG_CONFIG, 0,
+                     {"": ["deltas", "extrapolated", "nuAtDelta", "r", "schemaVersion"]},
+                     id="psh-lelong"),
+        pytest.param("psh cn", CN_CONFIG, 0,
+                     {"": ["cn", "kernel", "n", "schemaVersion"]}, id="psh-cn"),
+        pytest.param("psh glue", GLUE_CONFIG, 0,
+                     {"": ["blendMinMargin", "blendPoints", "globalPoints",
+                           "gluedMinMargin", "localPoints", "marginConflict",
+                           "schemaVersion"]},
+                     id="psh-glue"),
+    ],
+)
+def test_report_key_sets(tmp_path, command, config, exit_code, keys):
+    cfg = write_config(tmp_path, config)
+    code, report = run_json([*command.split(), "--config", cfg])
+    assert code == exit_code
+    # "" is the report itself, "name" a nested object, "name[*]" each item of a list
+    for path, expected in keys.items():
+        if not path:
+            objects = [report]
+        elif path.endswith("[*]"):
+            objects = report[path[:-3]]
+            assert objects, path
+        else:
+            objects = [report[path]]
+        for obj in objects:
+            assert sorted(obj) == expected, path
 
 
 # ---------------------------------------------------------------------------

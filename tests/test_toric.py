@@ -234,6 +234,13 @@ def test_intersection_numbers_projective_space():
     assert intersection_number(pair, edge.active, 0, 1) == F(1)
 
 
+def test_intersection_number_unknown_face_raises():
+    pair = ClassPolytopePair(scale_polytope(simplex3(), 2), simplex3())
+    for key in (frozenset({(9, 9, 9)}), frozenset(pair.p_omega.facet_normals)):
+        with pytest.raises(KeyError):
+            intersection_number(pair, key, 0, 1)
+
+
 def test_jequation_constants():
     assert jequation_constant(p2_pair(), 1) == F(2)
     assert jequation_constant(blowup_pair(), 1) == F(30, 11)
