@@ -22,7 +22,6 @@ from .exceptions import FanMismatchError
 
 __all__ = [
     "RationalPolytope",
-    "Face",
     "ClassPolytopePair",
     "FaceRow",
     "CriterionReport",
@@ -165,24 +164,6 @@ def _facets_3d(points):
     return facets
 
 
-class Face:
-    """A proper face: dimension, codimension, tight facet normals, vertices."""
-
-    def __init__(self, dim, codim, active, vertices, face_id):
-        self.dim = dim
-        self.codim = codim
-        self.active = frozenset(active)
-        self.vertices = tuple(vertices)
-        self.face_id = face_id
-
-    def __repr__(self):
-        return f"Face({self.face_id}, codim={self.codim})"
-
-
-def _default_face_id(active):
-    return "face " + " & ".join(str(n) for n in sorted(active))
-
-
 class RationalPolytope:
     """Full-dimensional convex lattice-rational polytope in dimension 1-3.
 
@@ -209,6 +190,7 @@ class RationalPolytope:
             hi = max(p[0] for p in pts)
             self.vertices = ((lo,), (hi,))
             self.facets = (((1,), hi), ((-1,), -lo))
+            self._faces = {}
         elif self.dim == 2:
             hull = _chain_2d(pts)
             self.vertices = tuple(hull)
@@ -219,6 +201,10 @@ class RationalPolytope:
                 normal = _primitive((d[1], -d[0]))
                 facets.append((normal, _dot(normal, v)))
             self.facets = tuple(facets)
+            self._faces = {
+                frozenset({n}): (v, hull[(i + 1) % len(hull)])
+                for i, ((n, _), v) in enumerate(zip(facets, hull))
+            }
         else:
             facets = _facets_3d(pts)
             if len(facets) < 4:
@@ -235,68 +221,39 @@ class RationalPolytope:
             self.facets = tuple(
                 (n, off) for n, (off, _) in sorted(facets.items())
             )
-            self._facet_vertices = {
-                n: tuple(p for p in tight if p in vset)
-                for n, (_, tight) in facets.items()
+            self._faces = {
+                frozenset({n}): tuple(p for p in tight if p in vset)
+                for n, (_, tight) in sorted(facets.items())
             }
+            # two facets of a 3-polytope meet in an edge iff they share two vertices
+            for (a, va), (b, vb) in itertools.combinations(list(self._faces.items()), 2):
+                common = tuple(p for p in va if p in vb)
+                if len(common) == 2:
+                    self._faces[a | b] = common
 
     @property
     def facet_normals(self):
         return frozenset(n for n, _ in self.facets)
 
-    def support(self, direction):
-        return max(_dot(direction, v) for v in self.vertices)
-
     def tight_vertices(self, direction):
-        h = self.support(direction)
-        return tuple(v for v in self.vertices if _dot(direction, v) == h)
+        values = [_dot(direction, v) for v in self.vertices]
+        h = max(values)
+        return tuple(v for v, x in zip(self.vertices, values) if x == h)
 
     def edge_directions(self):
+        edges = [self.vertices] if self.dim == 1 else [
+            verts for active, verts in self._faces.items() if len(active) == self.dim - 1
+        ]
         out = set()
-        for v, w in self._edge_pairs():
+        for v, w in edges:
             d = _primitive(_sub(w, v))
             out.add(max(d, tuple(-x for x in d)))
         return sorted(out)
 
-    def _edge_pairs(self):
-        if self.dim == 1:
-            return [self.vertices]
-        if self.dim == 2:
-            hull = self.vertices
-            return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-        pairs = set()
-        normals = [n for n, _ in self.facets]
-        for n1, n2 in itertools.combinations(normals, 2):
-            common = [p for p in self._facet_vertices[n1]
-                      if p in self._facet_vertices[n2]]
-            if len(common) == 2:
-                pairs.add(tuple(sorted(common)))
-        return sorted(pairs)
-
-    def faces(self, codim):
-        """Proper faces of the given codimension (1..dim-1), keyed by their
-        tight facet-normal sets."""
-        if not 1 <= codim <= self.dim - 1:
-            raise ValueError("codim must be between 1 and dim-1")
-        out = []
-        if codim == 1:
-            if self.dim == 2:
-                for i, (n, _) in enumerate(self.facets):
-                    v = self.vertices[i]
-                    w = self.vertices[(i + 1) % len(self.vertices)]
-                    out.append(Face(1, 1, {n}, (v, w), _default_face_id({n})))
-            else:
-                for n, _ in self.facets:
-                    verts = self._facet_vertices[n]
-                    out.append(Face(2, 1, {n}, verts, _default_face_id({n})))
-        else:  # codim 2 in dimension 3: edges
-            for v, w in self._edge_pairs():
-                active = {
-                    n for n, _ in self.facets
-                    if v in self._facet_vertices[n] and w in self._facet_vertices[n]
-                }
-                out.append(Face(1, 2, active, (v, w), _default_face_id(active)))
-        return out
+    def faces(self):
+        """Proper faces of codimension 1..dim-1 as {tight facet-normal set:
+        vertices}; the size of the set is the face's codimension."""
+        return dict(self._faces)
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +354,19 @@ def mixed_volume(polys):
 
 
 # ---------------------------------------------------------------------------
-# shared-fan class pairs and faces measured by coordinate projection
+# shared-fan class pairs, each face pair projected once
 # ---------------------------------------------------------------------------
-
-def _face_key_sets(P):
-    keys = {}
-    for codim in range(1, P.dim):
-        keys[codim] = {f.active: f for f in P.faces(codim)}
-    return keys
-
 
 @dataclass(frozen=True)
 class ClassPolytopePair:
     """Moment polytopes of the two classes; they must share a normal fan
     (identical primitive facet-normal sets and face incidences) so faces
     correspond one-to-one.  face_labels optionally names codim-1 faces by
-    their outer normal; a key that is not a facet normal is a ValueError."""
+    their outer normal; a key that is not a facet normal is a ValueError.
+
+    Each face pair is projected once, to coordinates that are injective on
+    its span: _table maps the active normal set (None for the whole space)
+    to (omega polytope, chi polytope, lattice index of the projection)."""
 
     p_omega: RationalPolytope
     p_chi: RationalPolytope
@@ -423,53 +377,43 @@ class ClassPolytopePair:
             raise FanMismatchError("polytopes have different dimensions")
         if self.p_omega.facet_normals != self.p_chi.facet_normals:
             raise FanMismatchError("facet normal sets differ")
-        omega_keys = _face_key_sets(self.p_omega)
-        chi_keys = _face_key_sets(self.p_chi)
-        for codim in omega_keys:
-            if set(omega_keys[codim]) != set(chi_keys[codim]):
-                raise FanMismatchError(
-                    f"face incidences differ at codimension {codim}"
-                )
+        omega_faces, chi_faces = self.p_omega.faces(), self.p_chi.faces()
+        differing = omega_faces.keys() ^ chi_faces.keys()
+        if differing:
+            raise FanMismatchError(
+                f"face incidences differ at codimension {min(map(len, differing))}"
+            )
         labels = {}
         for normal, label in (self.face_labels or {}).items():
             if tuple(normal) not in self.p_omega.facet_normals:
                 raise ValueError(f"faceLabels: {tuple(normal)} is not a facet normal")
             labels[frozenset({tuple(normal)})] = label
-        object.__setattr__(self, "_omega_faces", omega_keys)
-        object.__setattr__(self, "_chi_faces", chi_keys)
+        table = {None: (self.p_omega, self.p_chi, 1)}
+        for active in sorted(omega_faces, key=lambda a: (len(a), sorted(a))):
+            fo = omega_faces[active]
+            if self.n - len(active) == 1:
+                keep, index = _projection(_primitive(_sub(fo[1], fo[0])), edge=True)
+            else:
+                keep, index = _projection(next(iter(active)), edge=False)
+            po, pc = (
+                RationalPolytope([tuple(v[i] for i in keep) for v in verts])
+                for verts in (fo, chi_faces[active])
+            )
+            table[active] = (po, pc, index)
         object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_table", table)
 
     @property
     def n(self):
         return self.p_omega.dim
 
-    def face_name(self, face):
-        return self._labels.get(face.active, face.face_id)
+    def face_name(self, active):
+        default = "face " + " & ".join(str(n) for n in sorted(active))
+        return self._labels.get(active, default)
 
     def faces(self):
-        """All proper faces of codimension 1..n-1 as (name, omega face, chi face)."""
-        out = []
-        for codim in sorted(self._omega_faces):
-            for active in sorted(self._omega_faces[codim], key=sorted):
-                fo = self._omega_faces[codim][active]
-                fc = self._chi_faces[codim][active]
-                out.append((self.face_name(fo), fo, fc))
-        return out
-
-
-def _face_polytopes_in_lattice(fo, fc):
-    """The two corresponding faces projected to coordinates of their (common)
-    direction space, and the lattice index the projection multiplies
-    volumes by."""
-    if fo.dim == 1:
-        keep, index = _projection(_primitive(_sub(fo.vertices[1], fo.vertices[0])), edge=True)
-    else:
-        keep, index = _projection(next(iter(fo.active)), edge=False)
-    po, pc = (
-        RationalPolytope([tuple(v[i] for i in keep) for v in face.vertices])
-        for face in (fo, fc)
-    )
-    return po, pc, index
+        """Active normal sets of the proper faces, by codimension, then normals."""
+        return [active for active in self._table if active is not None]
 
 
 def intersection_number(pair, face_key, a, b):
@@ -478,15 +422,10 @@ def intersection_number(pair, face_key, a, b):
     copies of the chi face.  face_key is a face's active normal set, or None
     for the whole space (p=0)."""
     n = pair.n
-    if face_key is None:
-        p = 0
-        po, pc, index = pair.p_omega, pair.p_chi, 1
-    else:
-        p = len(face_key)  # a proper face in dimension <= 3 lies on exactly codim facets
-        if face_key not in pair._omega_faces.get(p, ()):
-            raise KeyError(f"no face with active normals {sorted(face_key)}")
-        fo, fc = pair._omega_faces[p][face_key], pair._chi_faces[p][face_key]
-        po, pc, index = _face_polytopes_in_lattice(fo, fc)
+    if face_key not in pair._table:
+        raise KeyError(f"no face with active normals {sorted(face_key)}")
+    po, pc, index = pair._table[face_key]
+    p = 0 if face_key is None else len(face_key)
     if a < 0 or b < 0 or a + b != n - p:
         raise ValueError(f"exponent mismatch: need a + b = {n - p}")
     return math.factorial(n - p) * mixed_volume([po] * a + [pc] * b) / index
@@ -533,28 +472,23 @@ def check_criterion(pair, c):
         raise ValueError("check_criterion: a 1-D pair has no proper positive-dimensional faces")
     coeffs = _check_coefficients(n, c)
     zeta = max((k for k in range(1, n) if coeffs[k - 1] > 0), default=0)
-    rows = []
-    for name, fo, fc in pair.faces():
-        p = fo.codim
-        top = intersection_number(pair, fo.active, n - p, 0)
-        if top <= 0:
-            raise ValueError(f"non-positive top intersection number on {name}")
-        rhs_scale = math.comb(n, p) * top
-        lhs = rhs_scale
-        for k in range(max(p, 1), n):
-            if coeffs[k - 1]:
-                lhs -= (
-                    coeffs[k - 1]
-                    * math.comb(k, p)
-                    * intersection_number(pair, fo.active, k - p, n - k)
-                )
-        rows.append(
-            FaceRow(name, p, lhs, rhs_scale, lhs / rhs_scale, p <= zeta)
+
+    def criterion(key, p):
+        """(C(n,p) I(n-p,0), the criterion value) on a face of codimension p."""
+        scale = math.comb(n, p) * intersection_number(pair, key, n - p, 0)
+        return scale, scale - sum(
+            coeffs[k - 1] * math.comb(k, p) * intersection_number(pair, key, k - p, n - k)
+            for k in range(max(p, 1), n) if coeffs[k - 1]
         )
-    compat = intersection_number(pair, None, n, 0)
-    for k in range(1, n):
-        if coeffs[k - 1]:
-            compat -= coeffs[k - 1] * intersection_number(pair, None, k, n - k)
+
+    rows = []
+    for active in pair.faces():
+        name, p = pair.face_name(active), len(active)
+        rhs_scale, lhs = criterion(active, p)
+        if rhs_scale <= 0:
+            raise ValueError(f"non-positive top intersection number on {name}")
+        rows.append(FaceRow(name, p, lhs, rhs_scale, lhs / rhs_scale, p <= zeta))
+    _, compat = criterion(None, 0)
     worst = min(rows, key=lambda r: r.ratio)
     return CriterionReport(
         per_face=tuple(rows),

@@ -386,6 +386,18 @@ def test_toric_float_coefficient_exits_2(tmp_path):
     assert out == ""
 
 
+def test_toric_integral_floats_read_as_integers(tmp_path):
+    as_floats = {**TORIC_PASSING, "pOmega": [[0, 0], [2.0, 0], [0, 2]], "c": [2.0]}
+    expected = run_cli(["toric", "check", "--config", write_config(tmp_path, TORIC_PASSING)])
+    got = run_cli(["toric", "check", "--config", write_config(tmp_path, as_floats, "f.json")])
+    assert got == expected
+    assert expected[0] == 0
+    half = {**TORIC_PASSING, "pOmega": [[0, 0], [2, 0], [0.5, 2]]}
+    code, out, _ = run_cli(["toric", "check", "--config", write_config(tmp_path, half, "h.json")])
+    assert code == 2
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # psh commands
 # ---------------------------------------------------------------------------

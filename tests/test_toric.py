@@ -199,6 +199,64 @@ def test_fan_mismatch_and_translation():
     ClassPolytopePair(square(), translate_polytope(square(), (3, 3)))
 
 
+def octahedron():
+    return RationalPolytope(
+        [tuple(s * int(i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+    )
+
+
+def cut_octahedron():
+    # the octahedron cut by x + y + z <= 1/2: the same eight facet normals,
+    # but the (1,1,1) facet becomes a hexagon that also meets (1,-1,-1),
+    # (-1,1,-1) and (-1,-1,1) in edges, which the octahedron does not have
+    q, r = F(3, 4), F(-1, 4)
+    return RationalPolytope([
+        (-1, 0, 0), (0, -1, 0), (0, 0, -1), (q, r, 0), (q, 0, r),
+        (r, q, 0), (0, q, r), (r, 0, q), (0, r, q),
+    ])
+
+
+def test_fan_mismatch_at_codimension_2():
+    octa, cut = octahedron(), cut_octahedron()
+    assert octa.facet_normals == cut.facet_normals
+    with pytest.raises(FanMismatchError, match="face incidences differ at codimension 2"):
+        ClassPolytopePair(octa, cut)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        cube,
+        simplex3,
+        octahedron,
+        cut_octahedron,
+        lambda: _mapped(
+            RationalPolytope([(x, y, z) for x in (0, 3) for y in (0, 2) for z in (0, 5)]),
+            [[1, 1, 1], [0, 1, 2], [1, 2, 4]],
+        ),
+        lambda: RationalPolytope([(1, 0), (2, 0), (3, 1), (2, 2), (1, 2), (0, 1)]),
+    ],
+    ids=["cube", "simplex", "octahedron", "cut-octahedron", "mapped-box", "hexagon"],
+)
+def test_faces_match_tight_vertex_oracle(make):
+    P = make()
+    faces = P.faces()
+    counts = [len(P.vertices)] + [
+        sum(1 for active in faces if len(active) == P.dim - d) for d in range(1, P.dim)
+    ]
+    # Euler-Poincare: V - E + F = 2 in dimension 3, V - E = 0 for a polygon
+    assert sum((-1) ** d * f for d, f in enumerate(counts)) == 1 - (-1) ** P.dim
+    for active, verts in faces.items():
+        direction = tuple(sum(c) for c in zip(*active))
+        assert set(verts) == set(P.tight_vertices(direction))
+    if P.dim == 3:
+        facets = {next(iter(a)): set(v) for a, v in faces.items() if len(a) == 1}
+        for active, verts in faces.items():
+            if len(active) == 2:
+                holders = {n for n, fv in facets.items() if set(verts) <= fv}
+                assert holders == active
+
+
 def test_degenerate_chi_facet_rejected():
     # chi = H - E collapses the exceptional edge to a point
     with pytest.raises(ValueError):
@@ -208,13 +266,13 @@ def test_degenerate_chi_facet_rejected():
 def test_intersection_numbers_projective_plane():
     unit = ClassPolytopePair(triangle(), triangle())
     assert intersection_number(unit, None, 2, 0) == F(1)
-    edge = unit.faces()[0][1].active
+    edge = unit.faces()[0]
     assert intersection_number(unit, edge, 1, 0) == F(1)
 
     pair = p2_pair()
     assert intersection_number(pair, None, 2, 0) == F(4)
     assert intersection_number(pair, None, 1, 1) == F(2)
-    edge = pair.faces()[0][1].active
+    edge = pair.faces()[0]
     assert intersection_number(pair, edge, 1, 0) == F(2)
     assert intersection_number(pair, edge, 0, 1) == F(1)
     with pytest.raises(ValueError):
@@ -225,13 +283,13 @@ def test_intersection_numbers_projective_space():
     pair = ClassPolytopePair(scale_polytope(simplex3(), 2), simplex3())
     assert intersection_number(pair, None, 3, 0) == F(8)
     assert intersection_number(pair, None, 1, 2) == F(2)
-    facet = next(f for _, f, _ in pair.faces() if f.codim == 1)
-    edge = next(f for _, f, _ in pair.faces() if f.codim == 2)
-    assert intersection_number(pair, facet.active, 2, 0) == F(4)
-    assert intersection_number(pair, facet.active, 1, 1) == F(2)
-    assert intersection_number(pair, facet.active, 0, 2) == F(1)
-    assert intersection_number(pair, edge.active, 1, 0) == F(2)
-    assert intersection_number(pair, edge.active, 0, 1) == F(1)
+    facet = next(f for f in pair.faces() if len(f) == 1)
+    edge = next(f for f in pair.faces() if len(f) == 2)
+    assert intersection_number(pair, facet, 2, 0) == F(4)
+    assert intersection_number(pair, facet, 1, 1) == F(2)
+    assert intersection_number(pair, facet, 0, 2) == F(1)
+    assert intersection_number(pair, edge, 1, 0) == F(2)
+    assert intersection_number(pair, edge, 0, 1) == F(1)
 
 
 def test_intersection_number_unknown_face_raises():
