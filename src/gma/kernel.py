@@ -345,8 +345,11 @@ def subset_avoidance_matrix(n, zeta):
 
 
 def min_avoidance_eigenvalue(n, zeta):
-    """Smallest eigenvalue of `subset_avoidance_matrix(n, zeta)`."""
-    return float(np.linalg.eigvalsh(subset_avoidance_matrix(n, zeta))[0])
+    """Smallest eigenvalue of `subset_avoidance_matrix(n, zeta)`, exactly:
+    that matrix is C(n-2, zeta-1) I + C(n-2, zeta) J with J all ones."""
+    if not (1 <= zeta <= n - 1):
+        raise ValueError("subset_avoidance_matrix: need 1 <= zeta <= n-1")
+    return float(math.comb(n - 2, zeta - 1))
 
 
 @dataclass(frozen=True)

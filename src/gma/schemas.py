@@ -233,6 +233,12 @@ SCHEMAS = {
 }
 
 
+_VALIDATORS = {
+    key: jsonschema.validators.validator_for(schema)(schema)
+    for key, schema in SCHEMAS.items()
+}
+
+
 class SchemaError(ValueError):
     pass
 
@@ -240,11 +246,10 @@ class SchemaError(ValueError):
 def validate(command, subcommand, config):
     """Validate a config document; raises SchemaError with a readable path."""
     try:
-        schema = SCHEMAS[(command, subcommand)]
+        validator = _VALIDATORS[(command, subcommand)]
     except KeyError:
         raise SchemaError(f"no schema for {command} {subcommand}") from None
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"config invalid at {where}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise SchemaError(f"config invalid at {where}: {error.message}")

@@ -300,8 +300,9 @@ def _minkowski_volume(polys):
             candidates.add(n)
             candidates.add(tuple(-x for x in n))
     for p, q in itertools.combinations(polys, 2):
+        q_directions = q.edge_directions()
         for e1 in p.edge_directions():
-            for e2 in q.edge_directions():
+            for e2 in q_directions:
                 c = _cross(e1, e2)
                 if c != (0, 0, 0):
                     c = _primitive(tuple(Fraction(x) for x in c))

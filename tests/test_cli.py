@@ -8,12 +8,15 @@ part in the comparison.
 import contextlib
 import io
 import json
+import math
 
+import jsonschema
 import numpy as np
 import pytest
 
 from gma.cli import main
 from gma.gridio import read_grid, write_grid
+from gma.schemas import SCHEMAS
 
 IDENTITY2 = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -64,6 +67,21 @@ def test_kernel_fm_frozen_floor(tmp_path):
     assert abs(report["terms"]["classRatio"] - 0.25) < 1e-15
 
 
+def test_kernel_fm_large_n_uses_closed_form_eigenvalue(tmp_path, monkeypatch):
+    import gma.kernel
+
+    def refuse(n, zeta):
+        raise AssertionError("subset enumeration reached")
+
+    monkeypatch.setattr(gma.kernel, "subset_avoidance_matrix", refuse)
+    c = [0.0] * 39
+    c[19] = 1.0
+    cfg = write_config(tmp_path, {"schemaVersion": 1, "n": 40, "c": c, "ratio": 1.0})
+    code, report = run_json(["kernel", "fm", "--config", cfg])
+    assert code == 0
+    assert report["kConstant"] == 0.99 * math.comb(38, 19)
+
+
 def test_kernel_identities_sweep_passes(tmp_path):
     cfg = write_config(tmp_path, IDENTITIES_CONFIG)
     code, report = run_json(["kernel", "identities", "--config", cfg, "--seed", "3"])
@@ -107,6 +125,11 @@ def test_wrong_schema_version_exits_2(tmp_path):
     assert code == 2
     assert out == ""
     assert "schemaVersion" in err
+
+
+def test_every_schema_is_valid_against_its_metaschema():
+    for schema in SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_missing_config_flag_raises_systemexit_2():

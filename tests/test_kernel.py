@@ -235,6 +235,23 @@ def test_avoidance_matrix_closed_form():
             )
 
 
+def test_avoidance_eigenvalue_closed_form_up_to_n_40():
+    for n in range(2, 41):
+        for zeta in range(1, n):
+            assert min_avoidance_eigenvalue(n, zeta) == float(math.comb(n - 2, zeta - 1))
+    for n, zeta in [(1, 1), (3, 0), (3, 3)]:
+        with pytest.raises(ValueError, match="need 1 <= zeta <= n-1"):
+            min_avoidance_eigenvalue(n, zeta)
+
+
+def test_avoidance_eigenvalue_matches_enumerated_eigvalsh():
+    for n in range(2, 11):
+        for zeta in range(1, n):
+            value = min_avoidance_eigenvalue(n, zeta)
+            brute = np.linalg.eigvalsh(subset_avoidance_matrix(n, zeta))[0]
+            assert abs(value - brute) <= 1e-12 * value
+
+
 def _random_spd(rng, n):
     R = rng.normal(size=(n, n))
     return R @ R.T + n * np.eye(n) * 0.1

@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+from gma import psh
 from gma.kernel import CoefficientSet, margin_field
 from gma.psh import (
     Box,
@@ -298,6 +300,47 @@ def test_kappa_is_25_over_231():
     assert KAPPA == pytest.approx(25.0 / 231.0, abs=1e-15)
 
 
+def _theta(s):
+    return (15.0 / 8.0) * (1.0 - 4.0 * s * s) ** 2
+
+
+def _abs_difference_quadrature(d):
+    # E|d + s - t| by nested adaptive quadrature, the inner one split at
+    # the kink t = d + s and the outer one where that kink leaves [-1/2, 1/2]
+    def inner(s):
+        kink = [d + s] if d + s < 0.5 else None
+        value, _ = scipy.integrate.quad(
+            lambda t: abs(d + s - t) * _theta(t), -0.5, 0.5,
+            points=kink, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        return value * _theta(s)
+
+    value, _ = scipy.integrate.quad(
+        inner, -0.5, 0.5, points=[0.5 - d] if d > 0.0 else None,
+        epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    return value
+
+
+@pytest.mark.parametrize("d", np.linspace(0.0, 0.999, 12).tolist())
+def test_expected_abs_difference_matches_quadrature_oracle(d):
+    assert expected_abs_difference(d) == pytest.approx(
+        _abs_difference_quadrature(d), rel=1e-13, abs=0.0
+    )
+
+
+def test_expected_abs_difference_meets_abs_twice_differentiably():
+    # summed exactly from the shipped float coefficients: I(1) = 1,
+    # I'(1) = 1 and I''(1) = 0, so the switch to max is C^2.  Each sum is
+    # held to 1e-15 of the size of its terms: the rounding of the
+    # coefficients alone leaves I''(1) at -2.8e-15 against terms of size 160.
+    coeffs = [Fraction(c) for c in psh._ABS_DIFFERENCE]
+    assert len(coeffs) == 12
+    for weight, target in [(lambda k: 1, 1), (lambda k: k, 1), (lambda k: k * (k - 1), 0)]:
+        terms = [weight(k) * c for k, c in enumerate(coeffs)]
+        assert abs(sum(terms) - target) <= 1e-15 * sum(abs(x) for x in terms)
+
+
 def test_regularized_max_exact_outside_band():
     assert regularized_max((5.0, 1.0), 1.0) == 5.0
     assert regularized_max((1.0, 5.0), 1.0) == 5.0
@@ -393,6 +436,22 @@ def test_glue_preserves_cone_margin():
     global_mask = b - a >= eta
     assert np.array_equal(report.glued[local_mask], a[local_mask])
     assert np.array_equal(report.glued[global_mask], b[global_mask])
+
+
+def test_glue_collar_matches_scalar_regularized_max_bitwise():
+    geom = _geom2(32)
+    coeffs = CoefficientSet(2, (1.0,))
+    u = trig_polynomial(geom.grid_shape, 0.0,
+                        [{"amplitude": 0.02, "wave": (1, 0)}])
+    v = trig_polynomial(geom.grid_shape, 0.0,
+                        [{"amplitude": 0.02, "wave": (0, 1), "phase": 0.3}])
+    eta, offset = 0.015, 0.001
+    report = glue_potentials(geom, coeffs, 1.0, u, v, eta=eta, offset=offset)
+    assert report.blend_points > 0
+    assert report.local_points > 0 and report.global_points > 0
+    a = u + offset
+    expect = np.array([regularized_max([x, y], eta) for x, y in zip(a.ravel(), v.ravel())])
+    assert np.array_equal(report.glued.ravel(), expect)
 
 
 def test_glue_reports_margin_conflict():
