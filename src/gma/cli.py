@@ -121,6 +121,12 @@ def _render_csv(key, report):
 # config -> objects
 # ---------------------------------------------------------------------------
 
+def _given(config, convert, **keys):
+    """{keyword: convert(config[key])} for each keyword=key the config sets;
+    an unset key passes nothing, so the callee's own default applies."""
+    return {kw: convert(config[key]) for kw, key in keys.items() if key in config}
+
+
 def _trig_grid(shape, spec):
     from .solver import trig_polynomial
 
@@ -138,7 +144,7 @@ def _geometry(config):
         tuple(int(m) for m in config["gridShape"]),
         np.array(config["chi"], dtype=float),
         np.array(config["omega0"], dtype=float),
-        config.get("scheme", "spectral"),
+        **_given(config, str, scheme="scheme"),
     )
     coeffs = CoefficientSet(geom.n, tuple(float(v) for v in config["c"]))
     return geom, coeffs
@@ -169,8 +175,6 @@ def _potential(config):
     from .psh import Box, SingularPotential
 
     spec = config["potential"]
-    domain_spec = config.get("domain", {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]})
-    domain = Box(tuple(domain_spec["lo"]), tuple(domain_spec["hi"]))
     smooth = None
     if "smooth" in spec:
         import numpy as np
@@ -190,7 +194,8 @@ def _potential(config):
                 return a * np.sum(pts**2, axis=-1)
 
     return SingularPotential(
-        float(spec["gamma"]), tuple(spec["center"]), smooth, domain
+        float(spec["gamma"]), tuple(spec["center"]), smooth,
+        **_given(config, lambda d: Box(tuple(d["lo"]), tuple(d["hi"])), domain="domain"),
     )
 
 
@@ -221,7 +226,7 @@ def _handle_kernel_fm(config, args, config_dir):
 
     coeffs = CoefficientSet(int(config["n"]), tuple(float(v) for v in config["c"]))
     budget = source_floor(
-        coeffs, float(config["ratio"]), k_safety=float(config.get("kSafety", 0.99))
+        coeffs, float(config["ratio"]), **_given(config, float, k_safety="kSafety")
     )
     report = {
         "floor": budget.floor,
@@ -274,10 +279,9 @@ def _handle_kernel_identities(config, args, config_dir):
             )
         # enumeration route vs vectorized routes on a subsample
         for s, row in enumerate(lam[: min(samples, 20)]):
-            e_row = kernel.elem_sym_all(row)
             for k in range(n + 1):
                 truth = kernel.elem_sym(row, k)
-                rel = abs(e_row[k] - truth) / max(abs(truth), 1e-300)
+                rel = abs(e_all[s, k] - truth) / max(abs(truth), 1e-300)
                 worst_dual = max(worst_dual, rel)
             for i in range(n):
                 for m in range(n):
@@ -308,11 +312,7 @@ def _handle_solve_run(config, args, config_dir):
     geom, coeffs = _geometry(config)
     f_grid = _source_grid(config, geom, config_dir)
     state = continuity_solve(
-        geom,
-        coeffs,
-        f_grid,
-        tol=float(config.get("tolerance", 1e-10)),
-        dt_init=float(config.get("dtInit", 0.25)),
+        geom, coeffs, f_grid, **_given(config, float, tol="tolerance", dt_init="dtInit")
     )
     ints = cohomology_integrals(geom, coeffs, f_grid)
     report = {

@@ -144,7 +144,7 @@ SCHEMAS = {
                 "items": {"type": "integer", "minimum": 1, "maximum": 8},
                 "minItems": 1,
             },
-            "samples": {"type": "integer", "minimum": 1},
+            "samples": {"type": "integer", "minimum": 1, "maximum": 100000},
         },
         [],
     ),

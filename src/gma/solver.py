@@ -73,15 +73,20 @@ def _check_spd(M, name):
     return 0.5 * (M + M.T)
 
 
+# About 350 B per grid point plus 8 B per GMRES basis vector, ~860 B at the
+# full basis of 64, so 2**22 points take ~3.6 GB; more are refused up front.
+_MAX_POINTS = 2**22
+
+
 @dataclass(frozen=True)
 class TorusGeometry:
     """Flat torus [0,1)^n with constant background matrices.
 
     grid_shape entries must be even and >= 8 (even sizes keep the real
     spectral derivatives well defined; 8 is the coarsest grid any scheme
-    here is trusted on).  scheme discretises the Hessian of every potential
-    on the geometry: "spectral" (exact on resolved modes) or "fd" (the
-    centred second-order stencils).
+    here is trusted on), at most 2**22 points in all.  scheme discretises
+    the Hessian of every potential: "spectral" (exact on resolved modes)
+    or "fd" (the centred second-order stencils).
     """
 
     n: int
@@ -98,6 +103,10 @@ class TorusGeometry:
             raise ValueError("TorusGeometry: grid_shape length must equal n")
         if any(s < 8 or s % 2 for s in shape):
             raise ValueError("TorusGeometry: grid sizes must be even and >= 8")
+        if math.prod(shape) > _MAX_POINTS:
+            raise ValueError(
+                f"TorusGeometry: {math.prod(shape)} grid points exceed the limit {_MAX_POINTS}"
+            )
         if self.scheme not in ("spectral", "fd"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         object.__setattr__(self, "grid_shape", shape)
@@ -209,12 +218,19 @@ class TorusGeometry:
         return (self._fold @ q.reshape(len(q), -1)).reshape(q.shape)
 
 
-def _canonical(values, shape=None):
+def _checked_grid(values, shape, name):
+    """values as a float array; raises ValueError on a wrong shape (unless
+    shape is None) or a non-finite value."""
     v = np.asarray(values, dtype=float)
     if shape is not None and v.shape != tuple(shape):
-        raise ValueError("potential grid has wrong shape")
+        raise ValueError(f"{name} grid has wrong shape")
     if not np.all(np.isfinite(v)):
-        raise ValueError("potential grid has non-finite values")
+        raise ValueError(f"{name} grid has non-finite values")
+    return v
+
+
+def _canonical(values, shape=None):
+    v = _checked_grid(values, shape, "potential")
     return v - v.mean()
 
 
@@ -368,22 +384,14 @@ def _require_positive(lam, message, report_value=True):
         )
 
 
-def _operator_coeffs(coeffs, t):
-    """a_0..a_n of the symmetric part sum_k a_k e_k(lam) of the stage-t residual:
-    a_0 = 0, a_k = -t c_k / C(n,k) for 0 < k < n, a_n = 1."""
-    weight = dict(coeffs.weights(t))
-    return [0.0] + [-weight.get(k, 0.0) for k in range(1, coeffs.n)] + [1.0]
-
-
 def _sym_part(coeffs, t, lam):
-    """sum_k a_k e_k(lam), ascending in k, skipping vanishing a_k."""
-    n = coeffs.n
-    a = _operator_coeffs(coeffs, t)
+    """e_n(lam) - sum_k w_k e_k(lam) over the stage-t weights, ascending in k,
+    skipping vanishing w_k."""
     e_all = elem_sym_all(lam)
-    G = e_all[..., n].copy()
-    for k in range(1, n):
-        if a[k]:
-            G += a[k] * e_all[..., k]
+    G = e_all[..., coeffs.n].copy()
+    for k, w in coeffs.weights(t):
+        if w:
+            G -= w * e_all[..., k]
     return G
 
 
@@ -392,18 +400,9 @@ def _residual_from_lam(coeffs, t, f_grid, lam, slack):
     return G - t * f_grid - coeffs.c0_term(t) - slack
 
 
-def _check_f_grid(geom, f_grid):
-    f = np.asarray(f_grid, dtype=float)
-    if f.shape != geom.grid_shape:
-        raise ValueError("f grid has wrong shape")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("f grid has non-finite values")
-    return f
-
-
 def residual(geom, coeffs, f_grid, t, phi, slack=0.0):
     """Stage-t pointwise residual; raises ConeBreachError off the positive cone."""
-    f = _check_f_grid(geom, f_grid)
+    f = _checked_grid(f_grid, geom.grid_shape, "f")
     lam = eigenvalue_field(geom, phi)
     _require_positive(lam, "residual: deformed form lost positivity")
     return _residual_from_lam(coeffs, t, f, lam, slack)
@@ -433,9 +432,10 @@ class LinearizedResidual:
     """Frozen-coefficient derivative of the residual at an iterate.
 
     apply(psi) evaluates  (1/4) sum_ab Q_ab(x) (Hess psi)_ab(x)  where Q is
-    the matrix derivative of the symmetric-function term; the derivative
-    with respect to the slack unknown is the constant -1.  `reduced` is the
-    matrix field M = L^{-1} Omega_phi L^{-T} at the iterate.
+    the matrix derivative of the symmetric-function term, by `combine` on
+    the stacked components of (1/4) Hess psi; the derivative with respect
+    to the slack unknown is the constant -1.  `reduced` is the matrix field
+    M = L^{-1} Omega_phi L^{-T} at the iterate.
     """
 
     slack_direction = -1.0
@@ -450,7 +450,12 @@ class LinearizedResidual:
         )
 
     def apply(self, psi):
-        comps = _filter(self.geom, np.asarray(psi, dtype=float), self.geom._quarter_symbols)
+        return self.combine(
+            _filter(self.geom, np.asarray(psi, dtype=float), self.geom._quarter_symbols)
+        )
+
+    def combine(self, comps):
+        """sum_ab Q_ab(x) comps_ab(x) for components stacked over pairs a <= b."""
         return np.einsum("p...,p...->...", self._pair_weights, comps)
 
     def mean_symbol(self):
@@ -463,28 +468,31 @@ class LinearizedResidual:
 def linearize(geom, coeffs, f_grid, t, phi):
     """Exact derivative of `residual` in (phi, slack) at the given iterate.
 
-    The residual is sum_k a_k e_k(M) + const with M = L^{-1} Omega_phi L^{-T}.
-    Its matrix derivative needs no eigenvectors:
+    The residual is sum_k a_k e_k(M) + const with M = L^{-1} Omega_phi L^{-T},
+    a_n = 1 and a_k = -w_k for the stage-t weights.  Its matrix derivative
+    needs no eigenvectors:
 
         P = sum_k a_k sum_j (-1)^j e_{k-1-j}(M) M^j,   Q = L^{-T} P L^{-1}.
     """
-    _check_f_grid(geom, f_grid)
+    _checked_grid(f_grid, geom.grid_shape, "f")
     reduced = _reduced_field(geom, _canonical(phi, geom.grid_shape))
-    return _linearization(geom, coeffs, t, reduced, _eigvals(reduced))
+    lam = _eigvals(reduced)
+    _require_positive(lam, "linearize: deformed form lost positivity")
+    return _linearization(geom, coeffs, t, reduced, lam)
 
 
 def _linearization(geom, coeffs, t, reduced, lam):
-    """`linearize` at the iterate whose reduced field and eigenvalues are given."""
-    _require_positive(lam, "linearize: deformed form lost positivity")
+    """`linearize` at an iterate on the positive cone, whose reduced field and
+    eigenvalues are given."""
     n = geom.n
-    a = _operator_coeffs(coeffs, t)
+    a = [(k, -w) for k, w in coeffs.weights(t)] + [(n, 1.0)]  # (k, a_k), ascending
     e_all = elem_sym_all(lam)
     P = np.zeros_like(reduced)
     power = np.eye(n)
     for j in range(n):
         if j:
             power = reduced if j == 1 else power @ reduced
-        beta = (-1) ** j * sum(a[k] * e_all[..., k - 1 - j] for k in range(j + 1, n + 1))
+        beta = (-1) ** j * sum(ak * e_all[..., k - 1 - j] for k, ak in a if k > j)
         P += beta[..., None, None] * power
     Linv = geom._chol_inv
     return LinearizedResidual(geom, Linv.T @ P @ Linv, reduced)
@@ -588,7 +596,7 @@ def _newton_step(geom, lin, res):
         rho_hat = np.fft.rfftn(y[:N].reshape(shape))
         comps = np.fft.irfftn(kernel * rho_hat, s=shape, axes=axes)
         out = np.empty_like(y)
-        out[:N] = np.einsum("p...,p...->...", lin._pair_weights, comps).ravel()
+        out[:N] = lin.combine(comps).ravel()
         out[:N] -= lin.slack_direction * rho_hat.flat[0].real / N
         out[N] = y[N]
         return out
@@ -645,7 +653,7 @@ def newton_solve(
     them left the cone, the GMRES iterations of the step and the true
     relative residual GMRES reached.
     """
-    f = _check_f_grid(geom, f_grid)
+    f = _checked_grid(f_grid, geom.grid_shape, "f")
     phi = (
         np.zeros(geom.grid_shape) if phi0 is None else _canonical(phi0, geom.grid_shape)
     )
@@ -662,9 +670,12 @@ def newton_solve(
         )
     trace = []
     res_sup = float(np.abs(res).max())
-    for it in range(max_iter):
-        if res_sup <= tol:
-            return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)
+    while res_sup > tol:
+        if len(trace) >= max_iter:
+            raise MaxIterationsError(
+                f"newton_solve: residual {res_sup:.3e} above tol {tol:.1e} "
+                f"after {max_iter} iterations"
+            )
         lin = _linearization(geom, coeffs, t, reduced, lam)
         dphi, ds, gmres_iterations, linear_residual = _newton_step(geom, lin, res)
         d_reduced = _assemble(_reduced_hessian(geom, dphi))
@@ -699,15 +710,11 @@ def newton_solve(
                 "newton_solve: line search failed to reduce the residual"
             )
         trace.append(
-            {"iteration": it, "residual_sup": res_sup, "step_factor": alpha,
+            {"iteration": len(trace), "residual_sup": res_sup, "step_factor": alpha,
              "trials": trials, "cone_rejections": cone_rejections,
              "gmres_iterations": gmres_iterations, "linear_residual": linear_residual}
         )
-    if res_sup <= tol:
-        return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)
-    raise MaxIterationsError(
-        f"newton_solve: residual {res_sup:.3e} above tol {tol:.1e} after {max_iter} iterations"
-    )
+    return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +747,7 @@ def cohomology_integrals(geom, coeffs=None, f_grid=None):
     c0 = values[n]
     defect = None
     if coeffs is not None and f_grid is not None:
-        f = _check_f_grid(geom, f_grid)
+        f = _checked_grid(f_grid, geom.grid_shape, "f")
         acc = c0
         for k in range(1, n):
             acc -= coeffs.c[k - 1] * values[k]
@@ -823,7 +830,7 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=0.25):
     successes, abort below _DT_MIN.  Each stage is one `newton_solve` at
     its default iteration cap.
     """
-    f = _check_f_grid(geom, f_grid)
+    f = _checked_grid(f_grid, geom.grid_shape, "f")
     integrals = cohomology_integrals(geom, coeffs, f)
     if abs(integrals.defect) > _COMPAT_TOL:
         raise CompatibilityError(
@@ -899,7 +906,7 @@ def class_path_probe(geom, coeffs, f_grid, s_list):
     integrals so the scaled instance is exactly compatible; the source
     becomes f + a_s and the full continuity path is attempted.
     """
-    f = _check_f_grid(geom, f_grid)
+    f = _checked_grid(f_grid, geom.grid_shape, "f")
     rows = []
     for s in sorted(float(s) for s in s_list):
         if s <= -1.0:

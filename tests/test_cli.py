@@ -16,7 +16,7 @@ import pytest
 
 from gma.cli import main
 from gma.gridio import read_grid, write_grid
-from gma.schemas import SCHEMAS
+from gma.schemas import SCHEMAS, validate
 
 IDENTITY2 = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -296,6 +296,55 @@ def test_solve_run_missing_gridfile_exits_2(tmp_path):
     assert out == ""
     assert "cannot read gridFile" in err
     assert len(err.splitlines()) == 1
+
+
+def test_oversized_grid_exits_2_before_allocating(tmp_path):
+    # 2**23 points: TorusGeometry refuses them before any grid is built
+    cfg = write_config(tmp_path, solve_config(gridShape=[4096, 2048]))
+    code, out, err = run_cli(["solve", "run", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "8388608 grid points exceed the limit 4194304" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_identities_samples_bound(tmp_path):
+    validate("kernel", "identities", {**IDENTITIES_CONFIG, "samples": 100000})
+    cfg = write_config(tmp_path, {**IDENTITIES_CONFIG, "samples": 100001})
+    code, out, err = run_cli(["kernel", "identities", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "samples" in err and "maximum" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_passes_only_the_options_the_config_sets(tmp_path, monkeypatch):
+    # the handlers import these at call time, so the spies see every call
+    import gma.kernel
+    import gma.solver
+
+    calls = []
+
+    def spy(original):
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gma.solver, "continuity_solve", spy(gma.solver.continuity_solve))
+    monkeypatch.setattr(gma.kernel, "source_floor", spy(gma.kernel.source_floor))
+    cases = [
+        ("solve run", solve_config(), {}),
+        ("kernel fm", FM_CONFIG, {}),
+        ("solve run", solve_config(tolerance=1e-9, dtInit=1), {"tol": 1e-9, "dt_init": 1.0}),
+        ("kernel fm", {**FM_CONFIG, "kSafety": 0.5}, {"k_safety": 0.5}),
+    ]
+    for command, config, expected in cases:
+        calls.clear()
+        code, _ = run_json([*command.split(), "--config", write_config(tmp_path, config)])
+        assert code == 0
+        assert calls == [expected]
+        assert all(type(value) is float for value in calls[0].values())
 
 
 def test_solve_classpath_json_and_csv(tmp_path):

@@ -76,6 +76,15 @@ def test_geometry_validation():
         TorusGeometry(2, (8, 8), np.eye(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
 
 
+def test_geometry_refuses_more_than_2_22_points():
+    # by shape only: a geometry allocates no grid until one of its fields is used
+    for shape in [(2048, 2048), (256, 128, 128), (2**22,)]:
+        TorusGeometry(len(shape), shape, np.eye(len(shape)), np.eye(len(shape)))
+    for shape in [(2048, 2050), (256, 256, 128), (2**22 + 2,)]:
+        with pytest.raises(ValueError, match="exceed the limit 4194304"):
+            TorusGeometry(len(shape), shape, np.eye(len(shape)), np.eye(len(shape)))
+
+
 def test_spectral_hessian_exact_on_cosine():
     geom = geom1(64)
     phi = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 1.0, "wave": (1,)}])
@@ -209,8 +218,13 @@ def test_residual_detects_lost_positivity():
     geom = geom2(16)
     coeffs = CoefficientSet(2, (1.0,)).with_c0(1.0)
     phi = two_mode(geom.grid_shape, 1.0)
+    f = np.zeros(geom.grid_shape)
     with pytest.raises(ConeBreachError):
-        residual(geom, coeffs, np.zeros(geom.grid_shape), 0.5, phi)
+        residual(geom, coeffs, f, 0.5, phi)
+    with pytest.raises(ConeBreachError, match="linearize: deformed form lost positivity"):
+        linearize(geom, coeffs, f, 0.5, phi)
+    with pytest.raises(ConeBreachError, match="cone_margin_field: deformed form lost positivity"):
+        cone_margin_field(geom, coeffs, 0.5, phi)
 
 
 def test_residual_matches_kernel_operator_value():
