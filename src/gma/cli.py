@@ -307,17 +307,16 @@ def _handle_kernel_identities(config, args, config_dir):
 def _handle_solve_run(config, args, config_dir):
     import numpy as np
 
-    from .solver import cohomology_integrals, continuity_solve
+    from .solver import continuity_solve
 
     geom, coeffs = _geometry(config)
     f_grid = _source_grid(config, geom, config_dir)
     state = continuity_solve(
         geom, coeffs, f_grid, **_given(config, float, tol="tolerance", dt_init="dtInit")
     )
-    ints = cohomology_integrals(geom, coeffs, f_grid)
     report = {
-        "c0": ints.c0,
-        "classDefect": ints.defect,
+        "c0": state.integrals.c0,
+        "classDefect": state.integrals.defect,
         "finalResidualSup": state.residual_sup,
         "slack": state.slack,
         "minConeMargin": state.min_cone_margin,

@@ -507,20 +507,21 @@ _GMRES_RESTART = 64
 _GMRES_MAXITER = 40
 
 
-def _gmres(operator, b):
+def _gmres(operator, b, rtol=_GMRES_RTOL):
     """Restarted GMRES from x0 = 0 (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7(3), 1986).
 
     Arnoldi with modified Gram-Schmidt; Givens rotations keep the residual
-    of the small least-squares problem.  A cycle ends when that residual
-    reaches _GMRES_RTOL |b| or after _GMRES_RESTART iterations; then the
-    true residual b - A x is recomputed and tested against _GMRES_RTOL |b|.
-    A cycle that does not lower the true residual, or _GMRES_MAXITER
-    cycles, raise LinearSolveStallError.  Returns x, the iteration count and
-    the true relative residual.
+    of the small least-squares problem.  The caller supplies the relative
+    tolerance rtol.  A cycle ends when that residual reaches rtol |b| or
+    after _GMRES_RESTART iterations; then the true residual b - A x is
+    recomputed and tested against rtol |b|.  A cycle that does not lower
+    the true residual, or _GMRES_MAXITER cycles, raise
+    LinearSolveStallError.  Returns x, the iteration count and the true
+    relative residual.
     """
     restart = _GMRES_RESTART
     b_norm = np.linalg.norm(b)
-    tol = _GMRES_RTOL * b_norm
+    tol = rtol * b_norm
     x = np.zeros_like(b)
     r, r_norm = b, b_norm
     iterations = 0
@@ -567,8 +568,9 @@ def _gmres(operator, b):
     )
 
 
-def _newton_step(geom, lin, res):
-    """Solve the bordered system J (dphi, ds) = (-res, 0), mean(dphi) = 0.
+def _newton_step(geom, lin, res, rtol):
+    """Solve the bordered system J (dphi, ds) = (-res, 0), mean(dphi) = 0,
+    to the relative tolerance rtol the caller supplies.
 
     The preconditioner P^{-1} inverts the averaged-coefficient operator with
     its border: (rho, v) -> (psi, ds), psi_hat = inverse_symbol * rho_hat + v
@@ -602,7 +604,7 @@ def _newton_step(geom, lin, res):
         return out
 
     rhs = np.append(-res.ravel(), 0.0)
-    y, iterations, linear_residual = _gmres(operator, rhs)
+    y, iterations, linear_residual = _gmres(operator, rhs, rtol)
     rho_hat = np.fft.rfftn(y[:N].reshape(shape))
     dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape, axes=range(geom.n))
     return dphi, float(-rho_hat.flat[0].real / N), iterations, linear_residual
@@ -617,6 +619,7 @@ class SolveState:
     min_cone_margin: float
     newton_trace: list
     stages: list = field(default_factory=list)
+    integrals: CohomologyIntegrals | None = None
 
 
 def _diagnostics(coeffs, f, t, lam, slack):
@@ -648,10 +651,18 @@ def newton_solve(
     trial hands its M and eigenvalues on to the next linearization: M(phi)
     is built once per call and eigenvalues are taken once per trial.
 
+    Inexact Newton (Eisenstat and Walker, SIAM J. Sci. Comput. 17(1),
+    1996): GMRES solves step k to the relative tolerance, the forcing term,
+    eta_k = max(min(1e-2, |F_k|_inf), _GMRES_RTOL).  Contraction test
+    (Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 3.3):
+    after each accepted step k >= 1 whose residual is still above tol,
+    Theta_k = |F_{k+1}|_inf / |F_k|_inf > 1/2 raises MaxIterationsError
+    naming Theta_k.
+
     Each newton_trace entry records the iteration, the residual after the
     step, the accepted damping factor, the line-search trials, how many of
-    them left the cone, the GMRES iterations of the step and the true
-    relative residual GMRES reached.
+    them left the cone, the GMRES iterations of the step, the true
+    relative residual GMRES reached and the forcing term it was given.
     """
     f = _checked_grid(f_grid, geom.grid_shape, "f")
     phi = (
@@ -677,7 +688,8 @@ def newton_solve(
                 f"after {max_iter} iterations"
             )
         lin = _linearization(geom, coeffs, t, reduced, lam)
-        dphi, ds, gmres_iterations, linear_residual = _newton_step(geom, lin, res)
+        forcing = max(min(1e-2, res_sup), _GMRES_RTOL)
+        dphi, ds, gmres_iterations, linear_residual = _newton_step(geom, lin, res, forcing)
         d_reduced = _assemble(_reduced_hessian(geom, dphi))
         alpha = 1.0
         accepted = False
@@ -712,8 +724,13 @@ def newton_solve(
         trace.append(
             {"iteration": len(trace), "residual_sup": res_sup, "step_factor": alpha,
              "trials": trials, "cone_rejections": cone_rejections,
-             "gmres_iterations": gmres_iterations, "linear_residual": linear_residual}
+             "gmres_iterations": gmres_iterations, "linear_residual": linear_residual,
+             "forcing": forcing}
         )
+        if len(trace) > 1 and res_sup > tol:
+            theta = res_sup / trace[-2]["residual_sup"]
+            if theta > 0.5:
+                raise MaxIterationsError(f"newton_solve: contraction {theta:.3f} > 0.5")
     return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)
 
 
@@ -821,14 +838,18 @@ _COMPAT_TOL = 1e-8
 _DT_MIN = 1e-4
 
 
-def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=0.25):
+def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
     """March the interpolation parameter from 0 to 1.
 
-    The constant c0 comes from the class integrals; the discrete
-    compatibility defect must not exceed _COMPAT_TOL.  Step control: start
-    at dt_init, halve on a failed stage, double after two consecutive
-    successes, abort below _DT_MIN.  Each stage is one `newton_solve` at
-    its default iteration cap.
+    The constant c0 comes from the class integrals, which the returned
+    state carries as `integrals`; the discrete compatibility defect must
+    not exceed _COMPAT_TOL.  Step control lets Newton's own convergence
+    drive the path: the first attempt jumps by dt_init (default 1, straight
+    to t = 1); a stage whose `newton_solve` fails (a cone breach, a GMRES
+    stall, the iteration cap, or a contraction Theta > 1/2) is retried from
+    the last accepted stage with dt halved; dt doubles after two consecutive
+    successes, never above dt_init; dt below _DT_MIN raises
+    StepUnderflowError.
     """
     f = _checked_grid(f_grid, geom.grid_shape, "f")
     integrals = cohomology_integrals(geom, coeffs, f)
@@ -876,6 +897,7 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=0.25):
             dt = min(2.0 * dt, dt_init)
             streak = 0
     state.stages = stages
+    state.integrals = integrals
     return state
 
 

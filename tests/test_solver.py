@@ -2,6 +2,8 @@
 continuity marching, manufactured recovery, and failure modes."""
 
 import math
+import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from gma.exceptions import (
     CompatibilityError,
     ConeBreachError,
     LinearSolveStallError,
+    MaxIterationsError,
     StepUnderflowError,
 )
 from gma.kernel import CoefficientSet, elem_sym, operator_value
@@ -622,7 +625,9 @@ def test_newton_evaluates_reduced_field_once_and_eigenvalues_per_trial(monkeypat
 
 def test_newton_trace_records_trials_and_cone_rejections():
     # a full step from phi = 0 leaves the cone once before an accepted half step
-    state = newton_solve(*_solve_3d_case(np.eye(3), 0.06), 1.0)
+    geom, coeffs, f = _solve_3d_case(np.eye(3), 0.06)
+    state = newton_solve(geom, coeffs, f, 1.0)
+    res_sup = np.abs(residual(geom, coeffs, f, 1.0, np.zeros(geom.grid_shape))).max()
     for entry in state.newton_trace:
         assert type(entry["trials"]) is int and entry["trials"] > 0
         assert type(entry["cone_rejections"]) is int and entry["cone_rejections"] >= 0
@@ -630,7 +635,10 @@ def test_newton_trace_records_trials_and_cone_rejections():
         assert entry["step_factor"] == 0.5 ** (entry["trials"] - 1)
         assert type(entry["gmres_iterations"]) is int
         assert 0 < entry["gmres_iterations"] <= solver._GMRES_RESTART * solver._GMRES_MAXITER
-        assert 0.0 <= entry["linear_residual"] <= solver._GMRES_RTOL
+        # the forcing term follows the residual the step starts from
+        assert entry["forcing"] == max(min(1e-2, res_sup), solver._GMRES_RTOL)
+        assert 0.0 <= entry["linear_residual"] <= entry["forcing"]
+        res_sup = entry["residual_sup"]
     assert any(entry["cone_rejections"] > 0 for entry in state.newton_trace)
 
 
@@ -772,12 +780,22 @@ def test_constant_background_path_is_exactly_trivial():
     ints = cohomology_integrals(geom, coeffs, np.zeros(geom.grid_shape))
     assert ints.c0 == 1.0
     assert ints.defect == 0.0
-    state = continuity_solve(geom, coeffs, np.zeros(geom.grid_shape))
+    state = continuity_solve(geom, coeffs, np.zeros(geom.grid_shape), dt_init=0.25)
     assert np.all(state.phi == 0.0)
     assert state.slack == 0.0
     assert [s["t"] for s in state.stages] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert all(s["newton_iterations"] == 0 for s in state.stages)
     assert all(s["residual_sup"] == 0.0 for s in state.stages)
+
+
+def test_default_schedule_jumps_straight_to_the_endpoint():
+    geom = geom2(16)
+    coeffs = CoefficientSet(2, (1.0,))
+    state = continuity_solve(geom, coeffs, np.zeros(geom.grid_shape))
+    assert np.all(state.phi == 0.0)
+    assert [s["t"] for s in state.stages] == [0.0, 1.0]
+    assert all(s["newton_iterations"] == 0 for s in state.stages)
+    assert state.integrals == cohomology_integrals(geom, coeffs, np.zeros(geom.grid_shape))
 
 
 def test_manufactured_recovery_spectral():
@@ -846,6 +864,50 @@ def test_step_underflow_when_stages_keep_failing(monkeypatch):
         continuity_solve(geom, coeffs, np.zeros(geom.grid_shape))
 
 
+def _bench_case(nx, scale):
+    """The benchmark's 2-D manufactured solve at nx^2, phi* amplitudes times scale.
+
+    At scale 6 phi* keeps lam > 0, but its cone margin at t = 1 is about
+    -80, so every continuity path must fail.
+    """
+    geom = geom2(nx, [[1.0, 0.2], [0.2, 0.8]], [[1.3, 0.1], [0.1, 1.1]])
+    coeffs = CoefficientSet(2, (0.5,))
+    phi_star = trig_polynomial(geom.grid_shape, 0.0, [
+        {"amplitude": scale * 0.3 / (4.0 * PI2), "wave": (1, 0), "phase": 0.7},
+        {"amplitude": scale * 0.3 / (8.0 * PI2), "wave": (1, 2), "phase": 0.7},
+    ])
+    return geom, coeffs, manufacture(geom, coeffs, phi_star)
+
+
+def test_cone_violating_path_fails_fast(monkeypatch):
+    geom, coeffs, case = _bench_case(64, 6.0)
+    calls = [0]
+    original = solver._linearization
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_linearization", counting)
+    with pytest.warns(UserWarning), pytest.raises(StepUnderflowError, match=r"t = 0\.895874"):
+        continuity_solve(geom, coeffs, case.f_grid)
+    assert calls[0] <= 60
+
+
+def test_newton_aborts_on_poor_contraction():
+    geom, coeffs, case = _bench_case(64, 6.0)
+    c0 = cohomology_integrals(geom, coeffs, case.f_grid).c0
+    with pytest.raises(MaxIterationsError, match=r"contraction") as info:
+        newton_solve(geom, coeffs.with_c0(c0), case.f_grid, 1.0)
+    theta = float(re.search(r"contraction (\d+\.\d+)", str(info.value)).group(1))
+    assert theta > 0.5
+    # the unscaled benchmark case converges in one stage, never aborting
+    geom, coeffs, case = _bench_case(64, 1.0)
+    state = continuity_solve(geom, coeffs, case.f_grid)
+    assert [s["t"] for s in state.stages] == [0.0, 1.0]
+    assert np.max(np.abs(state.phi - case.phi_star)) <= 1e-8
+
+
 def test_class_path_probe_reports_upward_closed_solvability():
     # class 0.45*[chi] sits below the cone threshold (load 0.5/0.45 > 1 at
     # t=1); scaling the class up past 0.5/0.45 - 1 makes the path reachable
@@ -881,6 +943,38 @@ def test_class_path_probe_keeps_the_geometry_scheme():
         assert row["residual_sup"] == state.residual_sup
         spectral = continuity_solve(replace(geom_s, scheme="spectral"), coeffs, f + shift)
         assert spectral.min_cone_margin != state.min_cone_margin
+
+
+def _class_path_threshold(nx, scheme):
+    """Class-path threshold s*_h bisected 14 times on [0.2, 0.6], and the final
+    bracket width.
+
+    omega0 = 0.45 chi, c = (1) and f = 0.01 cos 2 pi (x + y), whose minimum
+    falls on a grid point; the continuum path solves exactly for s > 1/3.
+    """
+    chi = np.array([[1.0, 0.2], [0.2, 0.8]])
+    geom = geom2(nx, chi, 0.45 * chi, scheme)
+    coeffs = CoefficientSet(2, (1.0,))
+    f = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 0.01, "wave": (1, 1)}])
+    lo, hi = 0.2, 0.6
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for _ in range(14):
+            mid = 0.5 * (lo + hi)
+            if class_path_probe(geom, coeffs, f, [mid]).rows[0]["solvable"]:
+                hi = mid
+            else:
+                lo = mid
+    return 0.5 * (lo + hi), hi - lo
+
+
+def test_class_path_threshold_converges_to_the_continuum_value():
+    fd = [abs(_class_path_threshold(nx, "fd")[0] - 1.0 / 3.0) for nx in (16, 32, 64)]
+    assert fd[1] * 3.0 <= fd[0] and fd[2] * 3.0 <= fd[1]
+    assert fd[2] <= 2e-4
+    for nx in (16, 32, 64):
+        s_star, width = _class_path_threshold(nx, "spectral")
+        assert abs(s_star - 1.0 / 3.0) <= width
 
 
 def test_upward_closure_property_detects_violations():
