@@ -72,25 +72,12 @@ def elem_sym(values, k):
     return float(sum(math.prod(c) for c in itertools.combinations(vals, k)))
 
 
-def elem_sym_deleted(values, k, i, j=None):
-    """S_{k; i}(values) or S_{k; i, j}: delete one or two indices first.
-
-    The double deletion with i == j is 0 by convention (a repeated index
-    cannot appear in a square-free monomial).
-    """
+def elem_sym_deleted(values, k, i):
+    """S_{k; i}(values): S_k with index i deleted first."""
     vals = list(np.atleast_1d(np.asarray(values, dtype=float)))
-    n = len(vals)
-    if not (0 <= i < n):
+    if not (0 <= i < len(vals)):
         raise ValueError("elem_sym_deleted: index out of range")
-    drop = {i}
-    if j is not None:
-        if not (0 <= j < n):
-            raise ValueError("elem_sym_deleted: index out of range")
-        if j == i:
-            return 0.0
-        drop.add(j)
-    rest = [v for idx, v in enumerate(vals) if idx not in drop]
-    return elem_sym(rest, k)
+    return elem_sym(vals[:i] + vals[i + 1:], k)
 
 
 def elem_sym_all(vals):
@@ -256,15 +243,22 @@ def cone_margin(coeffs, t, lam):
 def margin_field(coeffs, t, lam):
     """Batched `cone_margin`: 1 - max_i L_i over the last axis of lam.
 
-    lam holds positive eigenvalues in any order; no range checks.
+    lam holds eigenvalues in any order; no range checks.  The margin is
+    -inf at every point with a non-positive eigenvalue (off the positive
+    cone), where the loads are not evaluated.
     """
     lam = np.asarray(lam, dtype=float)
+    off = None
+    if lam.min() <= 0.0:
+        off = lam.min(axis=-1) <= 0.0
+        lam = np.where(off[..., None], 1.0, lam)
     n = coeffs.n
     deleted = elem_sym_deleted_all(1.0 / lam)
     load = np.zeros(lam.shape)
     for k, w in coeffs.weights(t):
         load += w * deleted[..., :, n - k]
-    return 1.0 - load.max(axis=-1)
+    margin = 1.0 - load.max(axis=-1)
+    return margin if off is None else np.where(off, -np.inf, margin)
 
 
 def operator_value(coeffs, t, f_at_point, lam):
@@ -348,7 +342,7 @@ def min_avoidance_eigenvalue(n, zeta):
     """Smallest eigenvalue of `subset_avoidance_matrix(n, zeta)`, exactly:
     that matrix is C(n-2, zeta-1) I + C(n-2, zeta) J with J all ones."""
     if not (1 <= zeta <= n - 1):
-        raise ValueError("subset_avoidance_matrix: need 1 <= zeta <= n-1")
+        raise ValueError("min_avoidance_eigenvalue: need 1 <= zeta <= n-1")
     return float(math.comb(n - 2, zeta - 1))
 
 

@@ -408,7 +408,8 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
     s*chi (s <= 1), mollifies the Hessian field with the normalized
     polynomial bump (1 - t^2)^3 and requires cone margin >= epsilon at
     every grid point.  A pass means only "no violation found in checked
-    range"; the report never claims more.
+    range"; the report never claims more.  A row whose smoothed form is
+    not positive reads min_margin = -inf and argmin = None.
     """
     deltas = [float(d) for d in delta_list]
     if not deltas or any(d <= 0 for d in deltas):
@@ -439,14 +440,10 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
         smooth = np.fft.irfftn(field_hat * w_hat, s=geom.grid_shape, axes=axes)
         lam = eigenvalues(smooth) + mu
         for s in scalings:
-            if lam[..., 0].min() <= 0.0:
-                min_margin = -math.inf
-                argmin = None
-            else:
-                margins = margin_field(coeffs, t, lam / s)
-                argmin = np.unravel_index(np.argmin(margins), margins.shape)
-                min_margin = float(margins[argmin])
-                argmin = tuple(int(i) for i in argmin)
+            margins = margin_field(coeffs, t, lam / s)
+            argmin = np.unravel_index(np.argmin(margins), margins.shape)
+            min_margin = float(margins[argmin])
+            argmin = tuple(int(i) for i in argmin) if min_margin > -math.inf else None
             rows.append(
                 {"delta": delta, "scaling": s, "mu": mu,
                  "min_margin": min_margin, "argmin": argmin}

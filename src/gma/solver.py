@@ -372,8 +372,14 @@ def eigenvalue_field(geom, phi):
 # residual / margin / linearization
 # ---------------------------------------------------------------------------
 
-def _require_positive(lam, message, report_value=True):
-    """Raise ConeBreachError at the worst point unless every eigenvalue is positive."""
+def _positive_field(geom, phi, message, report_value=True):
+    """(M, lam): the reduced field at phi and its ascending eigenvalues.
+
+    Raises ConeBreachError(message) at the worst point unless every
+    eigenvalue is positive.
+    """
+    reduced = _reduced_field(geom, _canonical(phi, geom.grid_shape))
+    lam = _eigvals(reduced)
     lam_min = lam[..., 0]
     worst = np.unravel_index(np.argmin(lam_min), lam_min.shape)
     if lam_min[worst] <= 0.0:
@@ -382,6 +388,7 @@ def _require_positive(lam, message, report_value=True):
             worst_point=worst,
             value=float(lam_min[worst]) if report_value else None,
         )
+    return reduced, lam
 
 
 def _sym_part(coeffs, t, lam):
@@ -403,29 +410,22 @@ def _residual_from_lam(coeffs, t, f_grid, lam, slack):
 def residual(geom, coeffs, f_grid, t, phi, slack=0.0):
     """Stage-t pointwise residual; raises ConeBreachError off the positive cone."""
     f = _checked_grid(f_grid, geom.grid_shape, "f")
-    lam = eigenvalue_field(geom, phi)
-    _require_positive(lam, "residual: deformed form lost positivity")
+    _, lam = _positive_field(geom, phi, "residual: deformed form lost positivity")
     return _residual_from_lam(coeffs, t, f, lam, slack)
 
 
 @dataclass(frozen=True)
 class ConeMarginReport:
     min_margin: float
-    argmin: tuple
     field: np.ndarray
 
 
 def cone_margin_field(geom, coeffs, t, phi):
-    """Per-point cone margins 1 - max_i load_i for the stage-t loads.
-
-    Returns the global minimum, the grid point attaining it, and the full
-    margin field.
-    """
-    lam = eigenvalue_field(geom, phi)
-    _require_positive(lam, "cone_margin_field: deformed form lost positivity")
+    """Per-point cone margins 1 - max_i load_i for the stage-t loads: the
+    global minimum and the full margin field."""
+    _, lam = _positive_field(geom, phi, "cone_margin_field: deformed form lost positivity")
     margins = margin_field(coeffs, t, lam)
-    argmin = np.unravel_index(np.argmin(margins), margins.shape)
-    return ConeMarginReport(float(margins[argmin]), tuple(int(i) for i in argmin), margins)
+    return ConeMarginReport(float(margins.min()), margins)
 
 
 class LinearizedResidual:
@@ -475,9 +475,7 @@ def linearize(geom, coeffs, f_grid, t, phi):
         P = sum_k a_k sum_j (-1)^j e_{k-1-j}(M) M^j,   Q = L^{-T} P L^{-1}.
     """
     _checked_grid(f_grid, geom.grid_shape, "f")
-    reduced = _reduced_field(geom, _canonical(phi, geom.grid_shape))
-    lam = _eigvals(reduced)
-    _require_positive(lam, "linearize: deformed form lost positivity")
+    reduced, lam = _positive_field(geom, phi, "linearize: deformed form lost positivity")
     return _linearization(geom, coeffs, t, reduced, lam)
 
 
@@ -622,13 +620,7 @@ class SolveState:
     integrals: CohomologyIntegrals | None = None
 
 
-def _diagnostics(coeffs, f, t, lam, slack):
-    """(residual, margin field), or (None, None) off the positive cone."""
-    if lam[..., 0].min() <= 0.0:
-        return None, None
-    res = _residual_from_lam(coeffs, t, f, lam, slack)
-    margin = margin_field(coeffs, t, lam)
-    return res, margin
+_DAMPING = tuple(2.0**-j for j in range(21))
 
 
 def newton_solve(
@@ -671,14 +663,13 @@ def newton_solve(
     slack = float(slack0)
     reduced = _reduced_field(geom, phi)
     lam = _eigvals(reduced)
-    res, margin = _diagnostics(coeffs, f, t, lam, slack)
-    if res is None:
-        raise ConeBreachError("newton_solve: initial state off the positive cone")
+    margin = margin_field(coeffs, t, lam)
     if margin.min() <= 0.0:
         raise ConeBreachError(
             "newton_solve: initial state violates the cone condition",
             value=float(margin.min()),
         )
+    res = _residual_from_lam(coeffs, t, f, lam, slack)
     trace = []
     res_sup = float(np.abs(res).max())
     while res_sup > tol:
@@ -691,29 +682,23 @@ def newton_solve(
         forcing = max(min(1e-2, res_sup), _GMRES_RTOL)
         dphi, ds, gmres_iterations, linear_residual = _newton_step(geom, lin, res, forcing)
         d_reduced = _assemble(_reduced_hessian(geom, dphi))
-        alpha = 1.0
-        accepted = False
         cone_rejections = 0
-        trials = 0
-        while alpha >= 2.0**-20:
-            trials += 1
-            slack_try = slack + alpha * ds
+        for trials, alpha in enumerate(_DAMPING, start=1):
             reduced_try = lin.reduced + alpha * d_reduced
             lam_try = _eigvals(reduced_try)
-            res_try, margin_try = _diagnostics(coeffs, f, t, lam_try, slack_try)
-            if res_try is None or margin_try.min() <= 0.0:
+            margin_try = margin_field(coeffs, t, lam_try)
+            if margin_try.min() <= 0.0:
                 cone_rejections += 1
-                alpha *= 0.5
                 continue
+            slack_try = slack + alpha * ds
+            res_try = _residual_from_lam(coeffs, t, f, lam_try, slack_try)
             res_try_sup = float(np.abs(res_try).max())
             if res_try_sup <= (1.0 - 1e-4 * alpha) * res_sup:
                 phi, slack = _canonical(phi + alpha * dphi), slack_try
                 reduced, lam = reduced_try, lam_try
                 res, margin, res_sup = res_try, margin_try, res_try_sup
-                accepted = True
                 break
-            alpha *= 0.5
-        if not accepted:
+        else:
             if cone_rejections == trials:
                 raise ConeBreachError(
                     "newton_solve: no admissible damping preserves the cone condition"
@@ -787,9 +772,8 @@ def manufacture(geom, coeffs, phi_star):
     endpoint residual of phi_star vanishes identically.
     """
     phi = _canonical(phi_star, geom.grid_shape)
-    lam = eigenvalue_field(geom, phi)
-    _require_positive(
-        lam, "manufacture: phi_star leaves the positive cone", report_value=False
+    _, lam = _positive_field(
+        geom, phi, "manufacture: phi_star leaves the positive cone", report_value=False
     )
     return ManufacturedCase(phi, _sym_part(coeffs, 1.0, lam))
 

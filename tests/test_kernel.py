@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,8 +64,6 @@ def test_elem_sym_frozen():
 
 def test_elem_sym_deleted_frozen():
     assert elem_sym_deleted((1, 2, 3), 1, 2) == 3.0  # drop the 3
-    assert elem_sym_deleted((1, 2, 3), 1, 1, 1) == 0.0  # repeated deletion index
-    assert elem_sym_deleted((1, 2, 3), 1, 0, 2) == 2.0
 
 
 def test_cone_margin_frozen():
@@ -207,6 +206,24 @@ def test_batched_layer_matches_enumeration_at_wide_spreads(n):
             assert abs(margins[s] - report.margin) <= 1e-13 * scale
 
 
+def test_margin_field_reads_minus_inf_off_the_positive_cone():
+    coeffs = CoefficientSet(3, (0.5, 0.3))
+    t = 0.8
+    lam = np.array([[1.1, 2.3, 0.9], [0.0, 1.0, 2.0], [0.7, -0.4, 1.5], [3.0, 0.5, 1.2]])
+    off, on = [1, 2], [0, 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margins = margin_field(coeffs, t, lam)
+        singles = [margin_field(coeffs, t, row) for row in lam]
+    assert np.all(margins[off] == -np.inf)
+    assert np.array_equal(margins[on], margin_field(coeffs, t, lam[on]))
+    for s in on:
+        assert abs(margins[s] - cone_margin(coeffs, t, lam[s]).margin) <= 1e-13
+        assert singles[s] == margins[s]
+    for s in off:
+        assert singles[s] == -np.inf
+
+
 def test_maclaurin_chain_monotone():
     rng = np.random.default_rng(13)
     for _ in range(300):
@@ -240,7 +257,7 @@ def test_avoidance_eigenvalue_closed_form_up_to_n_40():
         for zeta in range(1, n):
             assert min_avoidance_eigenvalue(n, zeta) == float(math.comb(n - 2, zeta - 1))
     for n, zeta in [(1, 1), (3, 0), (3, 3)]:
-        with pytest.raises(ValueError, match="need 1 <= zeta <= n-1"):
+        with pytest.raises(ValueError, match=r"^min_avoidance_eigenvalue: need 1 <= zeta <= n-1$"):
             min_avoidance_eigenvalue(n, zeta)
 
 

@@ -579,6 +579,20 @@ def test_uniform_cone_accepts_hessian_field_input():
     assert report.worst_margin == pytest.approx(0.5, rel=1e-12)
 
 
+def test_uniform_cone_off_the_positive_cone():
+    # lam_x = 1 - 8 cos 2 pi x before smoothing: the smoothed form is not
+    # positive, so no load is evaluated and no grid point is named
+    geom = _geom2(32)
+    coeffs = CoefficientSet(2, (1.0,))
+    phi = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 8.0 / PI2, "wave": (1, 0)}])
+    report = check_uniform_cone(geom, coeffs, 1.0, phi, 0.0, [0.05])
+    (row,) = report.rows
+    assert row["min_margin"] == -math.inf
+    assert row["argmin"] is None
+    assert report.passed is False
+    assert report.verdict == "violation found"
+
+
 def _uniform_cone_rows_oracle(geom, coeffs, t, field, deltas, scalings, mu):
     """(min_margin, argmin) per row by entrywise complex FFT convolution of
     omega0 + mu chi + (1/4) Hess(phi), or of a given form field + mu chi."""
