@@ -2,8 +2,10 @@
 
 Classes are encoded by their moment polytopes (exact rational vertices);
 torus-invariant subvarieties correspond to proper faces of the shared
-normal fan.  Intersection numbers are computed as lattice-normalized
-mixed volumes of corresponding faces, and the criterion value
+normal fan.  Each face's intersection numbers come from the volume
+polynomial of the shared fan: Vol(P + jQ) at j = 0..d and one exact
+Vandermonde solve give the face's whole row of lattice-normalized mixed
+volumes, tabulated once per class pair.  The criterion value
 
     C(n,p) * int_V Omega^{n-p} - sum_{k=p}^{n-1} c_k C(k,p) int_V chi^{n-k} Omega^{k-p}
 
@@ -355,8 +357,49 @@ def mixed_volume(polys):
 
 
 # ---------------------------------------------------------------------------
-# shared-fan class pairs, each face pair projected once
+# shared-fan class pairs, each face pair projected and tabulated once
 # ---------------------------------------------------------------------------
+
+def _polynomial_coefficients(values):
+    """Exact coefficients c_0..c_d of the polynomial sum_b c_b j^b that takes
+    values[j] at j = 0..d.  Gauss-Jordan on the Vandermonde matrix needs no
+    pivoting: its leading minors are Vandermonde determinants of 0..k."""
+    d = len(values) - 1
+    rows = [[Fraction(j) ** b for b in range(d + 1)] + [v] for j, v in enumerate(values)]
+    for col, pivot in enumerate(rows):
+        lead = pivot[col]
+        pivot[:] = [x / lead for x in pivot]
+        for row in rows:
+            if row is not pivot and row[col]:
+                factor = row[col]
+                row[:] = [x - factor * y for x, y in zip(row, pivot)]
+    return [row[-1] for row in rows]
+
+
+def _intersection_row(po, pc, index):
+    """(I(d, 0), I(d-1, 1), ..., I(0, d)) of a d-dimensional face pair with a
+    shared normal fan, projected with the given lattice index.
+
+    Vertices correspond by their tight facet-normal sets, so P + jQ has the
+    vertices v + j w and Vol(P + jQ) = sum_b C(d, b) MV(P^(d-b), Q^b) j^b;
+    then I(d-b, b) = d! MV(P^(d-b), Q^b) / index.
+    """
+    d = po.dim
+
+    def by_cone(P):
+        return {frozenset(n for n, off in P.facets if _dot(n, v) == off): v for v in P.vertices}
+
+    chi_vertices = by_cone(pc)
+    pairs = [(v, chi_vertices[cone]) for cone, v in by_cone(po).items()]
+    vols = [volume(po)] + [
+        volume(RationalPolytope([tuple(x + j * y for x, y in zip(v, w)) for v, w in pairs]))
+        for j in range(1, d + 1)
+    ]
+    return tuple(
+        math.factorial(d) * c / (math.comb(d, b) * index)
+        for b, c in enumerate(_polynomial_coefficients(vols))
+    )
+
 
 @dataclass(frozen=True)
 class ClassPolytopePair:
@@ -366,8 +409,10 @@ class ClassPolytopePair:
     their outer normal; a key that is not a facet normal is a ValueError.
 
     Each face pair is projected once, to coordinates that are injective on
-    its span: _table maps the active normal set (None for the whole space)
-    to (omega polytope, chi polytope, lattice index of the projection)."""
+    its span, and _table maps the active normal set (None for the whole
+    space) to the face's row of intersection numbers I(d, 0), I(d-1, 1),
+    ..., I(0, d), where d is the face's dimension and I(a, b) is
+    int_V Omega^a chi^b."""
 
     p_omega: RationalPolytope
     p_chi: RationalPolytope
@@ -389,7 +434,7 @@ class ClassPolytopePair:
             if tuple(normal) not in self.p_omega.facet_normals:
                 raise ValueError(f"faceLabels: {tuple(normal)} is not a facet normal")
             labels[frozenset({tuple(normal)})] = label
-        table = {None: (self.p_omega, self.p_chi, 1)}
+        table = {None: _intersection_row(self.p_omega, self.p_chi, 1)}
         for active in sorted(omega_faces, key=lambda a: (len(a), sorted(a))):
             fo = omega_faces[active]
             if self.n - len(active) == 1:
@@ -400,7 +445,7 @@ class ClassPolytopePair:
                 RationalPolytope([tuple(v[i] for i in keep) for v in verts])
                 for verts in (fo, chi_faces[active])
             )
-            table[active] = (po, pc, index)
+            table[active] = _intersection_row(po, pc, index)
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_table", table)
 
@@ -420,16 +465,15 @@ class ClassPolytopePair:
 def intersection_number(pair, face_key, a, b):
     """int_V Omega^a chi^b over the subvariety of the face: (n-p)! times the
     lattice-normalized mixed volume of a copies of the Omega face and b
-    copies of the chi face.  face_key is a face's active normal set, or None
-    for the whole space (p=0)."""
+    copies of the chi face, read from the pair's table.  face_key is a
+    face's active normal set, or None for the whole space (p=0)."""
     n = pair.n
     if face_key not in pair._table:
         raise KeyError(f"no face with active normals {sorted(face_key)}")
-    po, pc, index = pair._table[face_key]
     p = 0 if face_key is None else len(face_key)
     if a < 0 or b < 0 or a + b != n - p:
         raise ValueError(f"exponent mismatch: need a + b = {n - p}")
-    return math.factorial(n - p) * mixed_volume([po] * a + [pc] * b) / index
+    return pair._table[face_key][b]
 
 
 def _check_coefficients(n, c):
@@ -486,8 +530,6 @@ def check_criterion(pair, c):
     for active in pair.faces():
         name, p = pair.face_name(active), len(active)
         rhs_scale, lhs = criterion(active, p)
-        if rhs_scale <= 0:
-            raise ValueError(f"non-positive top intersection number on {name}")
         rows.append(FaceRow(name, p, lhs, rhs_scale, lhs / rhs_scale, p <= zeta))
     _, compat = criterion(None, 0)
     worst = min(rows, key=lambda r: r.ratio)
@@ -505,6 +547,4 @@ def jequation_constant(pair, k):
     n = pair.n
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    denom = intersection_number(pair, None, n - k, k)
-    assert denom > 0, "Kahler pair must have positive intersection numbers"
-    return intersection_number(pair, None, n, 0) / denom
+    return intersection_number(pair, None, n, 0) / intersection_number(pair, None, n - k, k)

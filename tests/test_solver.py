@@ -945,17 +945,19 @@ def test_class_path_probe_keeps_the_geometry_scheme():
         assert spectral.min_cone_margin != state.min_cone_margin
 
 
-def _class_path_threshold(nx, scheme):
+def _class_path_threshold(nx, scheme, phase=0.0):
     """Class-path threshold s*_h bisected 14 times on [0.2, 0.6], and the final
     bracket width.
 
-    omega0 = 0.45 chi, c = (1) and f = 0.01 cos 2 pi (x + y), whose minimum
-    falls on a grid point; the continuum path solves exactly for s > 1/3.
+    omega0 = 0.45 chi, c = (1) and f = 0.01 cos(2 pi (x + y) + phase), whose
+    minimum falls on a grid point at phase 0 and half a grid step off it at
+    phase pi / nx; the continuum path solves exactly for s > 1/3.
     """
     chi = np.array([[1.0, 0.2], [0.2, 0.8]])
     geom = geom2(nx, chi, 0.45 * chi, scheme)
     coeffs = CoefficientSet(2, (1.0,))
-    f = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 0.01, "wave": (1, 1)}])
+    f = trig_polynomial(geom.grid_shape, 0.0,
+                        [{"amplitude": 0.01, "wave": (1, 1), "phase": phase}])
     lo, hi = 0.2, 0.6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -975,6 +977,17 @@ def test_class_path_threshold_converges_to_the_continuum_value():
     for nx in (16, 32, 64):
         s_star, width = _class_path_threshold(nx, "spectral")
         assert abs(s_star - 1.0 / 3.0) <= width
+
+
+@pytest.mark.parametrize("scheme", ["fd", "spectral"])
+def test_class_path_threshold_off_grid_converges_to_the_continuum_value(scheme):
+    # with the source minimum half a cell off the grid, both schemes
+    # undershoot 1/3 and converge at the same rate
+    errors = [
+        abs(_class_path_threshold(nx, scheme, np.pi / nx)[0] - 1.0 / 3.0)
+        for nx in (16, 32, 64)
+    ]
+    assert errors[1] * 3.0 <= errors[0] and errors[2] * 3.0 <= errors[1]
 
 
 def test_upward_closure_property_detects_violations():

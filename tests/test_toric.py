@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -427,6 +429,73 @@ def test_criterion_invariant_under_unimodular_maps():
         for matrix in maps:
             pair = ClassPolytopePair(_mapped(omega, matrix), _mapped(chi, matrix))
             assert _summary(pair, c) == expected, matrix
+
+
+def _primitive(vec):
+    """Primitive integer vector along a nonzero rational vector."""
+    scale = math.lcm(*(F(c).denominator for c in vec))
+    ints = [int(c * scale) for c in vec]
+    g = math.gcd(*ints)
+    return [i // g for i in ints]
+
+
+def _face_polytopes(pair, key):
+    """The Omega and chi faces of a face key, projected to coordinates that
+    are injective on the face's span, and the lattice index of the projection.
+
+    An edge keeps the first nonzero coordinate of its primitive direction and
+    a 2-face drops the first nonzero coordinate of its facet normal; the index
+    is that coordinate's absolute value.  gma.toric picks the largest
+    coordinate instead, so the two projections differ on mapped pairs."""
+    if key is None:
+        return pair.p_omega, pair.p_chi, 1
+    omega_face, chi_face = pair.p_omega.faces()[key], pair.p_chi.faces()[key]
+    edge = pair.n - len(key) == 1
+    if edge:
+        v, w = omega_face
+        vec = _primitive([y - x for x, y in zip(v, w)])
+    else:
+        vec = next(iter(key))
+    j = next(i for i, c in enumerate(vec) if c)
+    keep = [j] if edge else [i for i in range(pair.n) if i != j]
+    po, pc = (RationalPolytope([[v[i] for i in keep] for v in verts])
+              for verts in (omega_face, chi_face))
+    return po, pc, abs(vec[j])
+
+
+def _box(sides):
+    return RationalPolytope(list(itertools.product(*[(0, s) for s in sides])))
+
+
+_SHARED_FAN_PAIRS = {
+    # the mapped boxes' vertices sort in different orders, so only the
+    # tight facet-normal sets can match them
+    "boxes": lambda: ClassPolytopePair(_box([3, 2, 5]), _box([1, 2, 1])),
+    "2simplex-simplex": lambda: ClassPolytopePair(scale_polytope(simplex3(), 2), simplex3()),
+    # every vertex of an octahedron lies on four facets
+    "octahedra": lambda: ClassPolytopePair(
+        translate_polytope(scale_polytope(octahedron(), 2), (1, 0, -1)),
+        translate_polytope(octahedron(), (F(1, 3), 0, F(-1, 2))),
+    ),
+    "blowup": blowup_pair,
+    "3triangle-triangle": lambda: p2_pair(3),
+}
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["plain", "unimodular-image"])
+@pytest.mark.parametrize("name", sorted(_SHARED_FAN_PAIRS))
+def test_intersection_rows_match_mixed_volume_oracle(name, mapped):
+    pair = _SHARED_FAN_PAIRS[name]()
+    if mapped:
+        matrix = [[1, 1, 1], [0, 1, 2], [1, 2, 4]] if pair.n == 3 else [[2, 3], [1, 2]]
+        pair = ClassPolytopePair(_mapped(pair.p_omega, matrix), _mapped(pair.p_chi, matrix))
+    for key in [None] + pair.faces():
+        po, pc, index = _face_polytopes(pair, key)
+        d = po.dim
+        for b in range(d + 1):
+            value = intersection_number(pair, key, d - b, b)
+            assert value == math.factorial(d) * mixed_volume([po] * (d - b) + [pc] * b) / index
+            assert value > 0
 
 
 def test_coefficient_validation():
