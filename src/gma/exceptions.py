@@ -14,9 +14,8 @@ class ConeBreachError(GmaError):
     """An iterate left the admissible cone (or lost positivity) and no
     damping level restored it."""
 
-    def __init__(self, message, worst_point=None, value=None):
+    def __init__(self, message, value=None):
         super().__init__(message)
-        self.worst_point = worst_point
         self.value = value
 
 

@@ -8,6 +8,8 @@ array bytes in row-major order.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -42,14 +44,15 @@ def read_grid(path):
             raise ValueError(f"grid file {path}: header misses required keys")
         if header["byte_order"] != "little" or header["dtype"] != "float64":
             raise ValueError(f"grid file {path}: unsupported encoding")
-        shape = tuple(int(s) for s in header["grid_shape"])
-        if len(shape) != int(header["n"]):
+        shape = header["grid_shape"]
+        if not isinstance(shape, list) or not all(type(s) is int and s > 0 for s in shape):
+            raise ValueError(f"grid file {path}: grid_shape must list positive integers")
+        if len(shape) != header["n"]:
             raise ValueError(f"grid file {path}: shape/dimension mismatch")
-        count = int(np.prod(shape))
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
+        nbytes = 8 * math.prod(shape)  # Python integers, so no wraparound
+        if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"grid file {path}: truncated payload")
-        values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        values = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"grid file {path}: non-finite values")
     return values.copy()

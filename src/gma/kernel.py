@@ -385,15 +385,20 @@ def source_floor(coeffs, class_ratio, k_safety=0.99):
     cz = coeffs.c[zeta - 1]
     expo = n / (n - zeta)
     K = k_safety * min_avoidance_eigenvalue(n, zeta)
-    term_garding = (
-        (1.0 / (16.0 * n))
-        * (zeta * cz / (2.0 * n)) ** (zeta / (n - zeta))
-        * (cz * (n - zeta) / (2.0 * n))
-    )
-    term_quadratic = zeta * cz**2 / (4.0 * n)
-    term_power = cz**expo / (4.0 * n)
+    try:
+        term_garding = (
+            (1.0 / (16.0 * n))
+            * (zeta * cz / (2.0 * n)) ** (zeta / (n - zeta))
+            * (cz * (n - zeta) / (2.0 * n))
+        )
+        term_quadratic = zeta * cz**2 / (4.0 * n)
+        term_power = cz**expo / (4.0 * n)
+        term_k = (K / (2.0 * n)) * (cz / (2.0 * math.comb(n, zeta))) ** expo
+    except OverflowError:
+        raise ValueError(
+            f"source_floor: c_{zeta} = {cz} is too large for float arithmetic"
+        ) from None
     term_class_ratio = class_ratio / 4.0
-    term_k = (K / (2.0 * n)) * (cz / (2.0 * math.comb(n, zeta))) ** expo
     floor = -min(term_garding, term_quadratic, term_power, term_class_ratio, term_k)
     return SourceFloorBudget(
         term_garding, term_quadratic, term_power, term_class_ratio, term_k, K, floor

@@ -108,6 +108,9 @@ def _schema(properties, required):
     }
 
 
+# kernel cone enumerates index subsets, so its n is bounded like the identity sweep's
+_KERNEL_N = {"type": "integer", "minimum": 1, "maximum": 8}
+
 _GEOMETRY_PROPS = {
     "n": {"type": "integer", "minimum": 1, "maximum": 3},
     "gridShape": _GRID_SHAPE,
@@ -121,7 +124,7 @@ _GEOMETRY_REQUIRED = ["n", "gridShape", "chi", "omega0", "c"]
 SCHEMAS = {
     ("kernel", "cone"): _schema(
         {
-            "n": {"type": "integer", "minimum": 1},
+            "n": _KERNEL_N,
             "c": _COEFFS,
             "t": {"type": "number", "minimum": 0, "maximum": 1},
             "lambda": {"type": "array", "items": _NUMBER, "minItems": 1},
@@ -141,7 +144,7 @@ SCHEMAS = {
         {
             "nList": {
                 "type": "array",
-                "items": {"type": "integer", "minimum": 1, "maximum": 8},
+                "items": _KERNEL_N,
                 "minItems": 1,
             },
             "samples": {"type": "integer", "minimum": 1, "maximum": 100000},

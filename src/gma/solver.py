@@ -16,8 +16,9 @@ and e_k elementary symmetric polynomials, the stage-t residual is
 The path starts at t = 0 (where phi = 0 solves the discrete problem
 exactly, the backgrounds being constant) and marches to t = 1 with an
 adaptive step, damped Newton corrections, and a scalar slack unknown that
-absorbs the residual discrete incompatibility; the Newton system is
-bordered with the mean-zero constraint on phi.
+absorbs the residual discrete incompatibility.  Residual, margins and the
+Newton system all live in the chi-reduced coordinates M = L^{-1} Omega_phi
+L^{-T} (chi = L L^T), whose eigenvalues are those of chi^{-1} Omega_phi.
 """
 
 from __future__ import annotations
@@ -150,23 +151,6 @@ class TorusGeometry:
         return self._reduce(self.omega0)
 
     @functools.cached_property
-    def _fold(self):
-        """(p, p) map from stacked Hessian components to L^{-1} H L^{-T} ones.
-
-        Row (i, j) and column (a, b) run over the upper-triangle pairs; an
-        off-diagonal column carries both H_ab and H_ba.
-        """
-        Linv = self._chol_inv
-        pairs = _pairs(self.n)
-        fold = np.empty((len(pairs), len(pairs)))
-        for r, (i, j) in enumerate(pairs):
-            for c, (a, b) in enumerate(pairs):
-                fold[r, c] = Linv[i, a] * Linv[j, b]
-                if a != b:
-                    fold[r, c] += Linv[i, b] * Linv[j, a]
-        return fold
-
-    @functools.cached_property
     def _wavenumbers(self):
         """Integer wavenumbers of the rfftn half spectrum, one array per axis,
         shaped to broadcast against it.
@@ -213,9 +197,21 @@ class TorusGeometry:
 
     @functools.cached_property
     def _reduced_symbols(self):
-        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T}, stacked over pairs."""
+        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T}, stacked over pairs.
+
+        The fold's row (i, j) and column (a, b) run over the upper-triangle
+        pairs; an off-diagonal column carries both H_ab and H_ba.
+        """
+        Linv = self._chol_inv
+        pairs = _pairs(self.n)
+        fold = np.empty((len(pairs), len(pairs)))
+        for r, (i, j) in enumerate(pairs):
+            for c, (a, b) in enumerate(pairs):
+                fold[r, c] = Linv[i, a] * Linv[j, b]
+                if a != b:
+                    fold[r, c] += Linv[i, b] * Linv[j, a]
         q = self._quarter_symbols
-        return (self._fold @ q.reshape(len(q), -1)).reshape(q.shape)
+        return (fold @ q.reshape(len(q), -1)).reshape(q.shape)
 
 
 def _checked_grid(values, shape, name):
@@ -375,19 +371,14 @@ def eigenvalue_field(geom, phi):
 def _positive_field(geom, phi, message, report_value=True):
     """(M, lam): the reduced field at phi and its ascending eigenvalues.
 
-    Raises ConeBreachError(message) at the worst point unless every
+    Raises ConeBreachError(message) with the least eigenvalue unless every
     eigenvalue is positive.
     """
     reduced = _reduced_field(geom, _canonical(phi, geom.grid_shape))
     lam = _eigvals(reduced)
-    lam_min = lam[..., 0]
-    worst = np.unravel_index(np.argmin(lam_min), lam_min.shape)
-    if lam_min[worst] <= 0.0:
-        raise ConeBreachError(
-            message,
-            worst_point=worst,
-            value=float(lam_min[worst]) if report_value else None,
-        )
+    value = lam[..., 0].min()
+    if value <= 0.0:
+        raise ConeBreachError(message, value=float(value) if report_value else None)
     return reduced, lam
 
 
@@ -429,50 +420,47 @@ def cone_margin_field(geom, coeffs, t, phi):
 
 
 class LinearizedResidual:
-    """Frozen-coefficient derivative of the residual at an iterate.
+    """Frozen-coefficient derivative of the residual at an iterate, in the
+    reduced coordinates M = L^{-1} Omega_phi L^{-T}.
 
-    apply(psi) evaluates  (1/4) sum_ab Q_ab(x) (Hess psi)_ab(x)  where Q is
-    the matrix derivative of the symmetric-function term, by `combine` on
-    the stacked components of (1/4) Hess psi; the derivative with respect
-    to the slack unknown is the constant -1.  `reduced` is the matrix field
-    M = L^{-1} Omega_phi L^{-T} at the iterate.
+    apply(psi) evaluates  sum_ab P_ab(x) (L^{-1} (1/4) Hess psi L^{-T})_ab(x),
+    where P is the derivative of the symmetric-function term in M, by
+    `combine` on the stacked reduced Hessian components; the derivative
+    with respect to the slack unknown is the constant -1.
     """
 
     slack_direction = -1.0
 
-    def __init__(self, geom, q_field, reduced):
+    def __init__(self, geom, p_field):
         self.geom = geom
-        self.q_field = q_field
-        self.reduced = reduced
-        # Q_ab per stacked pair, counted twice off the diagonal (Q_ab = Q_ba)
+        self.p_field = p_field
+        # P_ab per stacked pair, counted twice off the diagonal (P_ab = P_ba)
         self._pair_weights = np.stack(
-            [(1.0 if a == b else 2.0) * q_field[..., a, b] for a, b in _pairs(geom.n)]
+            [(1.0 if a == b else 2.0) * p_field[..., a, b] for a, b in _pairs(geom.n)]
         )
 
     def apply(self, psi):
-        return self.combine(
-            _filter(self.geom, np.asarray(psi, dtype=float), self.geom._quarter_symbols)
-        )
+        return self.combine(_reduced_hessian(self.geom, np.asarray(psi, dtype=float)))
 
     def combine(self, comps):
-        """sum_ab Q_ab(x) comps_ab(x) for components stacked over pairs a <= b."""
+        """sum_ab P_ab(x) comps_ab(x) for components stacked over pairs a <= b."""
         return np.einsum("p...,p...->...", self._pair_weights, comps)
 
     def mean_symbol(self):
         """Symbol magnitude m(k) of the averaged-coefficient operator on the
         rfftn half spectrum."""
-        qbar = self._pair_weights.reshape(len(self._pair_weights), -1).mean(axis=1)
-        return -np.tensordot(qbar, self.geom._quarter_symbols, axes=1)
+        pbar = self._pair_weights.reshape(len(self._pair_weights), -1).mean(axis=1)
+        return -np.tensordot(pbar, self.geom._reduced_symbols, axes=1)
 
 
 def linearize(geom, coeffs, f_grid, t, phi):
     """Exact derivative of `residual` in (phi, slack) at the given iterate.
 
     The residual is sum_k a_k e_k(M) + const with M = L^{-1} Omega_phi L^{-T},
-    a_n = 1 and a_k = -w_k for the stage-t weights.  Its matrix derivative
+    a_n = 1 and a_k = -w_k for the stage-t weights.  Its derivative in M
     needs no eigenvectors:
 
-        P = sum_k a_k sum_j (-1)^j e_{k-1-j}(M) M^j,   Q = L^{-T} P L^{-1}.
+        P = sum_k a_k sum_j (-1)^j e_{k-1-j}(M) M^j.
     """
     _checked_grid(f_grid, geom.grid_shape, "f")
     reduced, lam = _positive_field(geom, phi, "linearize: deformed form lost positivity")
@@ -492,12 +480,11 @@ def _linearization(geom, coeffs, t, reduced, lam):
             power = reduced if j == 1 else power @ reduced
         beta = (-1) ** j * sum(ak * e_all[..., k - 1 - j] for k, ak in a if k > j)
         P += beta[..., None, None] * power
-    Linv = geom._chol_inv
-    return LinearizedResidual(geom, Linv.T @ P @ Linv, reduced)
+    return LinearizedResidual(geom, P)
 
 
 # ---------------------------------------------------------------------------
-# Newton with bordered mean-zero/slack system
+# Newton with mean-zero phi and a slack unknown
 # ---------------------------------------------------------------------------
 
 _GMRES_RTOL = 1e-12
@@ -567,18 +554,19 @@ def _gmres(operator, b, rtol=_GMRES_RTOL):
 
 
 def _newton_step(geom, lin, res, rtol):
-    """Solve the bordered system J (dphi, ds) = (-res, 0), mean(dphi) = 0,
-    to the relative tolerance rtol the caller supplies.
+    """Solve J (dphi, ds) = -res, mean(dphi) = 0, to the relative tolerance
+    rtol the caller supplies.
 
-    The preconditioner P^{-1} inverts the averaged-coefficient operator with
-    its border: (rho, v) -> (psi, ds), psi_hat = inverse_symbol * rho_hat + v
-    on the constant mode, ds = -mean(rho).  GMRES runs on J P^{-1}, so it
-    minimises the true residual, and
+    The preconditioner B^{-1} inverts the averaged-coefficient operator and
+    gives the constant mode to the slack: rho -> (psi, ds), psi_hat =
+    inverse_symbol * rho_hat, ds = -mean(rho).  GMRES runs on J B^{-1}, so
+    it minimises the true residual, and with w_p the pair weights of P
 
-        J P^{-1} (rho, v) = (sum_p w_p F^{-1}(sym_p inverse_symbol rho_hat) + mean(rho), v)
+        J B^{-1} rho = sum_p w_p F^{-1}(sym_p inverse_symbol rho_hat) + mean(rho)
 
-    costs one rfftn and one batched irfftn per iteration.  Returns dphi, ds,
-    the GMRES iteration count and the achieved true relative residual.
+    costs one rfftn and one batched irfftn per iteration.  Returns dphi, the
+    reduced step dM = L^{-1} (1/4) Hess(dphi) L^{-T} read off the same
+    spectrum, ds, the GMRES iterations and the true relative residual.
     """
     N = geom.npoints
     shape = geom.grid_shape
@@ -587,25 +575,21 @@ def _newton_step(geom, lin, res, rtol):
         raise LinearSolveStallError(
             "preconditioner symbol lost positivity (averaged coefficients not elliptic)"
         )
-    inverse_symbol = np.zeros_like(symbol)
-    np.divide(-1.0, symbol, out=inverse_symbol, where=symbol > 0)
-    kernel = geom._quarter_symbols * inverse_symbol
-    axes = range(1, geom.n + 1)
+    inverse_symbol = np.divide(-1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0)
+    kernel = geom._reduced_symbols * inverse_symbol
+
+    def preconditioned(rho):
+        rho_hat = np.fft.rfftn(rho.reshape(shape))
+        return rho_hat, np.fft.irfftn(kernel * rho_hat, s=shape, axes=range(1, geom.n + 1))
 
     def operator(y):
-        rho_hat = np.fft.rfftn(y[:N].reshape(shape))
-        comps = np.fft.irfftn(kernel * rho_hat, s=shape, axes=axes)
-        out = np.empty_like(y)
-        out[:N] = lin.combine(comps).ravel()
-        out[:N] -= lin.slack_direction * rho_hat.flat[0].real / N
-        out[N] = y[N]
-        return out
+        rho_hat, comps = preconditioned(y)
+        return (lin.combine(comps) - lin.slack_direction * rho_hat.flat[0].real / N).ravel()
 
-    rhs = np.append(-res.ravel(), 0.0)
-    y, iterations, linear_residual = _gmres(operator, rhs, rtol)
-    rho_hat = np.fft.rfftn(y[:N].reshape(shape))
+    y, iterations, linear_residual = _gmres(operator, -res.ravel(), rtol)
+    rho_hat, comps = preconditioned(y)
     dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape, axes=range(geom.n))
-    return dphi, float(-rho_hat.flat[0].real / N), iterations, linear_residual
+    return dphi, _assemble(comps), float(-rho_hat.flat[0].real / N), iterations, linear_residual
 
 
 @dataclass
@@ -638,8 +622,8 @@ def newton_solve(
     Step acceptance needs a residual decrease *and* a strictly positive
     cone margin at every grid point; the damping factor halves down to
     2**-20 before the step is declared inadmissible.  The reduced matrix
-    field is linear in phi, so a trial at damping alpha evaluates
-    M(phi) + alpha M'(dphi) without differentiating again, and an accepted
+    field is linear in phi, so a trial at damping alpha evaluates M(phi) +
+    alpha dM with the reduced step dM from `_newton_step`, and an accepted
     trial hands its M and eigenvalues on to the next linearization: M(phi)
     is built once per call and eigenvalues are taken once per trial.
 
@@ -680,11 +664,12 @@ def newton_solve(
             )
         lin = _linearization(geom, coeffs, t, reduced, lam)
         forcing = max(min(1e-2, res_sup), _GMRES_RTOL)
-        dphi, ds, gmres_iterations, linear_residual = _newton_step(geom, lin, res, forcing)
-        d_reduced = _assemble(_reduced_hessian(geom, dphi))
+        dphi, d_reduced, ds, gmres_iterations, linear_residual = _newton_step(
+            geom, lin, res, forcing
+        )
         cone_rejections = 0
         for trials, alpha in enumerate(_DAMPING, start=1):
-            reduced_try = lin.reduced + alpha * d_reduced
+            reduced_try = reduced + alpha * d_reduced
             lam_try = _eigvals(reduced_try)
             margin_try = margin_field(coeffs, t, lam_try)
             if margin_try.min() <= 0.0:

@@ -82,6 +82,36 @@ def test_kernel_fm_large_n_uses_closed_form_eigenvalue(tmp_path, monkeypatch):
     assert report["kConstant"] == 0.99 * math.comb(38, 19)
 
 
+def test_kernel_fm_overflowing_coefficient_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {**FM_CONFIG, "c": [1e200]})
+    code, out, err = run_cli(["kernel", "fm", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "c_1 = 1e+200" in err and "too large" in err
+    assert len(err.splitlines()) == 1
+    # solve run checks its source against the same floor; this f makes the
+    # data exactly compatible, so the floor is reached
+    c = 2.0**665
+    cfg = write_config(tmp_path, {
+        "schemaVersion": 1, "n": 2, "gridShape": [8, 8], "chi": IDENTITY2,
+        "omega0": IDENTITY2, "c": [c], "f": {"constant": -c},
+    }, name="solve.json")
+    code, out, err = run_cli(["solve", "run", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "too large" in err and len(err.splitlines()) == 1
+
+
+def test_kernel_cone_dimension_bound(tmp_path):
+    validate("kernel", "cone", {**CONE_CONFIG, "n": 8})
+    cfg = write_config(tmp_path, {**CONE_CONFIG, "n": 9})
+    code, out, err = run_cli(["kernel", "cone", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "maximum of 8" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_kernel_identities_sweep_passes(tmp_path):
     cfg = write_config(tmp_path, IDENTITIES_CONFIG)
     code, report = run_json(["kernel", "identities", "--config", cfg, "--seed", "3"])

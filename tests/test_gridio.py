@@ -50,3 +50,25 @@ def test_read_rejects_malformed_inputs(tmp_path):
 def test_write_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_grid(tmp_path / "nan.grid", np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize(
+    "shape, match",
+    [
+        ([-8, 8], "positive integers"),
+        ([0, 8], "positive integers"),
+        ([8.0, 8], "positive integers"),
+        ([True, 8], "positive integers"),
+        ("88", "positive integers"),
+        ([2**62, 4], "truncated"),
+        ([2**64, 2**64], "truncated"),
+    ],
+)
+def test_read_rejects_bad_grid_shape_before_reading(tmp_path, shape, match):
+    # the payload holds one value; a declared size is checked against it first
+    header = {"schema_version": 1, "n": 2, "grid_shape": shape,
+              "byte_order": "little", "dtype": "float64"}
+    path = tmp_path / "bad.grid"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(8))
+    with pytest.raises(ValueError, match=rf"^grid file .*: .*{match}"):
+        read_grid(path)

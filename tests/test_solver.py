@@ -281,29 +281,44 @@ def test_cone_margin_grid_refinement_agreement():
     assert abs(mins[0] - mins[1]) <= 1e-3
 
 
+# chi != I, so the reduced coordinates differ from the original ones;
+# phi and psi waves per dimension
+DIRECTIONAL_CASES = {
+    1: ((16,), [[1.2]], [[0.9]], (),
+        [(1,), (2,)], [(1,), (3,)]),
+    2: ((16, 16), [[1.0, 0.2], [0.2, 0.8]], [[1.3, 0.1], [0.1, 1.1]], (0.8,),
+        [(1, 0), (1, 1)], [(0, 1), (2, 1)]),
+    3: ((8, 8, 8), [[1.0, 0.1, 0.0], [0.1, 0.9, 0.1], [0.0, 0.1, 1.1]],
+        [[1.3, 0.1, 0.05], [0.1, 1.2, 0.0], [0.05, 0.0, 1.25]], (0.8, 0.3),
+        [(1, 0, 1), (1, 1, 0)], [(0, 1, 1), (2, 1, 0)]),
+}
+
+
 @pytest.mark.parametrize("scheme", ["spectral", "fd"])
-def test_linearize_matches_directional_difference(scheme):
-    geom = geom2(16, scheme=scheme)
-    coeffs = CoefficientSet(2, (0.8,))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_linearize_matches_directional_difference(n, scheme):
+    shape, chi, omega0, c, phi_waves, psi_waves = DIRECTIONAL_CASES[n]
+    geom = TorusGeometry(n, shape, np.array(chi), np.array(omega0), scheme)
+    coeffs = CoefficientSet(n, c)
     ints = cohomology_integrals(geom)
     coeffs = coeffs.with_c0(ints.c0)
     f = trig_polynomial(
-        geom.grid_shape, 0.5, [{"amplitude": 0.1, "wave": (1, 0)}]
+        geom.grid_shape, 0.5, [{"amplitude": 0.1, "wave": (1,) + (0,) * (n - 1)}]
     )
     phi = trig_polynomial(
         geom.grid_shape,
         0.0,
         [
-            {"amplitude": 0.02, "wave": (1, 0)},
-            {"amplitude": 0.015, "wave": (1, 1), "phase": 0.3},
+            {"amplitude": 0.02, "wave": phi_waves[0]},
+            {"amplitude": 0.015, "wave": phi_waves[1], "phase": 0.3},
         ],
     )
     psi = trig_polynomial(
         geom.grid_shape,
         0.0,
         [
-            {"amplitude": 0.01, "wave": (0, 1)},
-            {"amplitude": 0.007, "wave": (2, 1), "phase": 0.9},
+            {"amplitude": 0.01, "wave": psi_waves[0]},
+            {"amplitude": 0.007, "wave": psi_waves[1], "phase": 0.9},
         ],
     )
     psi -= psi.mean()
@@ -420,24 +435,22 @@ def test_fd_multiplier_matches_stencil(shape):
 @pytest.mark.parametrize("shape", FOLD_SHAPES)
 def test_reduced_field_matches_sandwiched_full_spectrum_hessian(shape):
     geom, phi, H = _rough_case(shape, 21)
-    n = geom.n
-    coeffs = CoefficientSet(n, (0.3,) * (n - 1)).with_c0(1.0)
-    lin = linearize(geom, coeffs, np.zeros(shape), 0.5, phi)
+    reduced = solver._reduced_field(geom, phi)
     oracle, hess_part = _reduced_oracle(geom, H)
-    err = np.abs(lin.reduced - oracle).max()
+    err = np.abs(reduced - oracle).max()
     assert err <= 1e-12 * np.abs(hess_part).max()
-    assert np.array_equal(lin.reduced, np.swapaxes(lin.reduced, -1, -2))
+    assert np.array_equal(reduced, np.swapaxes(reduced, -1, -2))
 
 
 @pytest.mark.parametrize("shape", FOLD_SHAPES)
 def test_linearize_q_matches_eigenvector_formula(shape):
+    # the derivative P in the reduced coordinates M = L^{-1} Omega_phi L^{-T}
     geom, phi, H = _rough_case(shape, 22)
     n = geom.n
     c = (0.7, 0.4)[: n - 1]
     coeffs = CoefficientSet(n, c).with_c0(1.0)
     t = 0.6
     lin = linearize(geom, coeffs, np.zeros(shape), t, phi)
-    Linv = np.linalg.inv(np.linalg.cholesky(geom.chi))
     oracle, _ = _reduced_oracle(geom, H)
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -451,8 +464,8 @@ def test_linearize_q_matches_eigenvector_formula(shape):
                 t * c[k - 1] / math.comb(n, k) * elem_sym(rest, k - 1)
                 for k in range(1, n)
             )
-        Q = Linv.T @ (vec * g) @ vec.T @ Linv
-        assert np.abs(lin.q_field[idx] - Q).max() <= 1e-12 * np.abs(Q).max()
+        P = (vec * g) @ vec.T
+        assert np.abs(lin.p_field[idx] - P).max() <= 1e-12 * np.abs(P).max()
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -617,8 +630,8 @@ def test_newton_evaluates_reduced_field_once_and_eigenvalues_per_trial(monkeypat
     # the carried linearizations equal the public one at each iterate
     phi = np.zeros(geom.grid_shape)
     for lin, (dphi, *_), entry in zip(recorded["_linearization"], recorded["_newton_step"], trace):
-        Q = linearize(geom, coeffs, f, t, phi).q_field
-        assert np.abs(lin.q_field - Q).max() <= 1e-12 * np.abs(Q).max()
+        P = linearize(geom, coeffs, f, t, phi).p_field
+        assert np.abs(lin.p_field - P).max() <= 1e-12 * np.abs(P).max()
         phi = solver._canonical(phi + entry["step_factor"] * dphi)
     assert np.array_equal(phi, state.phi)
 
