@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -461,7 +462,9 @@ _HANDLERS = {
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to a JSON config")
     common.add_argument("--out", help="directory for report.json, timings.json, grids")

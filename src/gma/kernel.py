@@ -62,19 +62,19 @@ def elem_sym(values, k):
     serve as ground truth for the recurrence- and convolution-based paths
     used elsewhere.  S_0 = 1, S_k = 0 for k > len(values) or k < 0.
     """
-    vals = [float(v) for v in np.atleast_1d(np.asarray(values, dtype=float))]
-    if not np.all(np.isfinite(vals)):
+    vals = np.ravel(np.asarray(values, dtype=float)).tolist()
+    if not all(map(math.isfinite, vals)):
         raise ValueError("elem_sym: non-finite entries")
     if k < 0 or k > len(vals):
         return 0.0
     if k == 0:
         return 1.0
-    return float(sum(math.prod(c) for c in itertools.combinations(vals, k)))
+    return float(sum(map(math.prod, itertools.combinations(vals, k))))
 
 
 def elem_sym_deleted(values, k, i):
     """S_{k; i}(values): S_k with index i deleted first."""
-    vals = list(np.atleast_1d(np.asarray(values, dtype=float)))
+    vals = np.ravel(np.asarray(values, dtype=float)).tolist()
     if not (0 <= i < len(vals)):
         raise ValueError("elem_sym_deleted: index out of range")
     return elem_sym(vals[:i] + vals[i + 1:], k)

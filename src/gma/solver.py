@@ -19,6 +19,11 @@ adaptive step, damped Newton corrections, and a scalar slack unknown that
 absorbs the residual discrete incompatibility.  Residual, margins and the
 Newton system all live in the chi-reduced coordinates M = L^{-1} Omega_phi
 L^{-T} (chi = L L^T), whose eigenvalues are those of chi^{-1} Omega_phi.
+Every symmetric field there (M, the Newton step dM, the derivative P) is
+held as its n(n+1)/2 upper-triangle components stacked on a leading axis,
+and one fold matrix maps a form's components to its chi-reduction's; the
+grid + (n, n) form appears only in `form_eigenvalues` and
+`potential_hessian`.
 """
 
 from __future__ import annotations
@@ -140,15 +145,28 @@ class TorusGeometry:
         Linv.setflags(write=False)
         return Linv
 
-    def _reduce(self, omega):
-        """Symmetrised L^{-1} omega L^{-T} of a form or a field of forms, chi = L L^T."""
-        M = self._chol_inv @ omega @ self._chol_inv.T
-        return 0.5 * (M + np.swapaxes(M, -1, -2))
+    @functools.cached_property
+    def _fold(self):
+        """The chi-reduction omega -> L^{-1} omega L^{-T} on stacked components,
+        chi = L L^T; an off-diagonal column (a, b) carries omega_ab and omega_ba."""
+        L, pairs = self._chol_inv, _pairs(self.n)
+        return np.array([[L[i, a] * L[j, b] + (L[i, b] * L[j, a] if a != b else 0.0)
+                          for a, b in pairs] for i, j in pairs])
+
+    def _reduce(self, comps):
+        """Stacked components of L^{-1} omega L^{-T} from those of omega."""
+        return np.tensordot(self._fold, comps, axes=1)
+
+    @functools.cached_property
+    def _pair_index(self):
+        """(n, n) table of the stacked position of pair (a, b), symmetric."""
+        pairs, axes = _pairs(self.n), range(self.n)
+        return np.array([[pairs.index((min(a, b), max(a, b))) for b in axes] for a in axes])
 
     @functools.cached_property
     def _reduced_omega0(self):
-        """M0 = L^{-1} omega0 L^{-T}, the reduced background."""
-        return self._reduce(self.omega0)
+        """Components of M0 = L^{-1} omega0 L^{-T}, shaped to broadcast over the grid."""
+        return self._reduce(_components(self.omega0)).reshape((-1,) + (1,) * self.n)
 
     @functools.cached_property
     def _wavenumbers(self):
@@ -197,21 +215,8 @@ class TorusGeometry:
 
     @functools.cached_property
     def _reduced_symbols(self):
-        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T}, stacked over pairs.
-
-        The fold's row (i, j) and column (a, b) run over the upper-triangle
-        pairs; an off-diagonal column carries both H_ab and H_ba.
-        """
-        Linv = self._chol_inv
-        pairs = _pairs(self.n)
-        fold = np.empty((len(pairs), len(pairs)))
-        for r, (i, j) in enumerate(pairs):
-            for c, (a, b) in enumerate(pairs):
-                fold[r, c] = Linv[i, a] * Linv[j, b]
-                if a != b:
-                    fold[r, c] += Linv[i, b] * Linv[j, a]
-        q = self._quarter_symbols
-        return (fold @ q.reshape(len(q), -1)).reshape(q.shape)
+        """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T}, stacked over pairs."""
+        return self._reduce(self._quarter_symbols)
 
 
 def _checked_grid(values, shape, name):
@@ -255,17 +260,10 @@ def _pairs(n):
     return [(a, b) for a in range(n) for b in range(a, n)]
 
 
-def _assemble(comps, base=None):
-    """Symmetric field grid + (n, n) from stacked upper-triangle components."""
-    n = math.isqrt(2 * len(comps))  # len(comps) = n (n + 1) / 2
-    out = np.empty(comps.shape[1:] + (n, n))
-    for p, (a, b) in enumerate(_pairs(n)):
-        if base is None:
-            out[..., a, b] = comps[p]
-        else:
-            np.add(comps[p], base[a, b], out=out[..., a, b])
-        out[..., b, a] = out[..., a, b]
-    return out
+def _components(omega):
+    """Stacked components of the symmetric part of omega, shape grid + (n, n)."""
+    pairs = _pairs(omega.shape[-1])
+    return np.stack([0.5 * (omega[..., a, b] + omega[..., b, a]) for a, b in pairs])
 
 
 def _filter(geom, values, symbols):
@@ -281,30 +279,29 @@ def _reduced_hessian(geom, values):
 
 
 def _reduced_field(geom, values):
-    """M = L^{-1} Omega_phi L^{-T}, whose eigenvalues are those of chi^{-1} Omega_phi."""
-    return _assemble(_reduced_hessian(geom, values), geom._reduced_omega0)
+    """Components of M = L^{-1} Omega_phi L^{-T}; its eigenvalues are chi^{-1} Omega_phi's."""
+    return _reduced_hessian(geom, values) + geom._reduced_omega0
 
 
 def potential_hessian(geom, phi):
     """Second derivative field of the potential, shape grid + (n, n)."""
-    return 4.0 * _assemble(
-        _filter(geom, _canonical(phi, geom.grid_shape), geom._quarter_symbols)
-    )
+    comps = _filter(geom, _canonical(phi, geom.grid_shape), geom._quarter_symbols)
+    return np.moveaxis(4.0 * comps[geom._pair_index], (0, 1), (-2, -1))
 
 
 _JACOBI_SWEEPS = 4
 
 
 def _jacobi_eigvals(M):
-    """Ascending eigenvalues of a symmetric 3 x 3 field by cyclic Jacobi.
+    """Ascending eigenvalues of a symmetric 3 x 3 field of stacked components by cyclic Jacobi.
 
     Each rotation (p, q) zeroes a_pq with t = tan(theta) =
     sign(d) 2 a_pq / (|d| + hypot(d, 2 a_pq)), d = a_qq - a_pp (t = 0
     where a_pq = d = 0), and updates a_pp -= t a_pq, a_qq += t a_pq and
     the third row.  off[r] holds a_pq for {p, q, r} = {0, 1, 2}.
     """
-    diag = [M[..., i, i].copy() for i in range(3)]
-    off = [M[..., 1, 2].copy(), M[..., 0, 2].copy(), M[..., 0, 1].copy()]
+    diag = [M[0].copy(), M[3].copy(), M[5].copy()]
+    off = [M[4].copy(), M[2].copy(), M[1].copy()]
     for _ in range(_JACOBI_SWEEPS):
         for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             apq = off[r]
@@ -324,7 +321,7 @@ def _jacobi_eigvals(M):
 
 
 def _eigvals(M):
-    """Ascending eigenvalues of a symmetric field grid + (n, n).
+    """Ascending eigenvalues, shape grid + (n,), of a field of stacked components.
 
     For n = 2 the closed form takes lam_max = mean + radius, which has no
     cancellation, and lam_min = det / lam_max, which keeps relative
@@ -338,11 +335,10 @@ def _eigvals(M):
     keeps relative accuracy on graded forms D A D (Demmel and Veselic,
     SIAM J. Matrix Anal. Appl. 13(4), 1992).
     """
-    n = M.shape[-1]
-    if n == 1:
-        return M[..., 0].copy()
-    if n == 2:
-        a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 1, 1]
+    if len(M) == 1:
+        return M[0, ..., None].copy()
+    if len(M) == 3:
+        a, b, c = M
         mean = 0.5 * (a + c)
         radius = np.hypot(0.5 * (a - c), b)
         lam_max = mean + radius
@@ -354,9 +350,10 @@ def _eigvals(M):
 def form_eigenvalues(geom, omega):
     """Ascending generalized eigenvalues of a symmetric form field against chi.
 
-    omega has shape grid + (n, n); the result has shape grid + (n,).
+    omega has shape grid + (n, n), and only its symmetric part is read;
+    the result has shape grid + (n,).
     """
-    return _eigvals(geom._reduce(np.asarray(omega, dtype=float)))
+    return _eigvals(geom._reduce(_components(np.asarray(omega, dtype=float))))
 
 
 def eigenvalue_field(geom, phi):
@@ -384,25 +381,40 @@ def _positive_field(geom, phi, message, report_value=True):
 
 def _sym_part(coeffs, t, lam):
     """e_n(lam) - sum_k w_k e_k(lam) over the stage-t weights, ascending in k,
-    skipping vanishing w_k."""
+    skipping vanishing w_k, and the size of its terms e_n(lam) + sum_k w_k
+    e_k(lam) (every e_k is positive on the cone)."""
     e_all = elem_sym_all(lam)
     G = e_all[..., coeffs.n].copy()
+    size = G.copy()
     for k, w in coeffs.weights(t):
         if w:
-            G -= w * e_all[..., k]
-    return G
+            term = w * e_all[..., k]
+            G -= term
+            size += term
+    return G, size
+
+
+# Newton stops at _ROUNDING_FACTOR eps S when that exceeds tol, S the size of
+# the residual's terms.  On 3-D manufactured solves with c0 = 15 000 rounding
+# alone leaves the residual at 15-35 eps S, and the path needs a factor of at
+# least 20 at 16^3 and 24 at 24^3.
+_ROUNDING_FACTOR = 64.0
 
 
 def _residual_from_lam(coeffs, t, f_grid, lam, slack):
-    G = _sym_part(coeffs, t, lam)
-    return G - t * f_grid - coeffs.c0_term(t) - slack
+    """The stage-t residual and its rounding floor _ROUNDING_FACTOR eps S,
+    S = |e_n + sum_k w_k e_k + t |f| + (1 - t) |c0||_inf."""
+    G, size = _sym_part(coeffs, t, lam)
+    c0_term = coeffs.c0_term(t)
+    S = float((size + t * np.abs(f_grid)).max()) + abs(c0_term)
+    return G - t * f_grid - c0_term - slack, _ROUNDING_FACTOR * np.finfo(float).eps * S
 
 
 def residual(geom, coeffs, f_grid, t, phi, slack=0.0):
     """Stage-t pointwise residual; raises ConeBreachError off the positive cone."""
     f = _checked_grid(f_grid, geom.grid_shape, "f")
     _, lam = _positive_field(geom, phi, "residual: deformed form lost positivity")
-    return _residual_from_lam(coeffs, t, f, lam, slack)
+    return _residual_from_lam(coeffs, t, f, lam, slack)[0]
 
 
 @dataclass(frozen=True)
@@ -424,9 +436,10 @@ class LinearizedResidual:
     reduced coordinates M = L^{-1} Omega_phi L^{-T}.
 
     apply(psi) evaluates  sum_ab P_ab(x) (L^{-1} (1/4) Hess psi L^{-T})_ab(x),
-    where P is the derivative of the symmetric-function term in M, by
-    `combine` on the stacked reduced Hessian components; the derivative
-    with respect to the slack unknown is the constant -1.
+    where P, held as stacked components in p_field, is the derivative of
+    the symmetric-function term in M, by `combine` on the stacked reduced
+    Hessian components; the derivative with respect to the slack unknown
+    is the constant -1.
     """
 
     slack_direction = -1.0
@@ -436,7 +449,7 @@ class LinearizedResidual:
         self.p_field = p_field
         # P_ab per stacked pair, counted twice off the diagonal (P_ab = P_ba)
         self._pair_weights = np.stack(
-            [(1.0 if a == b else 2.0) * p_field[..., a, b] for a, b in _pairs(geom.n)]
+            [p if a == b else 2.0 * p for p, (a, b) in zip(p_field, _pairs(geom.n))]
         )
 
     def apply(self, psi):
@@ -468,18 +481,19 @@ def linearize(geom, coeffs, f_grid, t, phi):
 
 
 def _linearization(geom, coeffs, t, reduced, lam):
-    """`linearize` at an iterate on the positive cone, whose reduced field and
-    eigenvalues are given."""
+    """`linearize` at an iterate on the positive cone from its reduced field's
+    components and eigenvalues: P = sum_j beta_j M^j, M^2 over the pair table."""
     n = geom.n
     a = [(k, -w) for k, w in coeffs.weights(t)] + [(n, 1.0)]  # (k, a_k), ascending
     e_all = elem_sym_all(lam)
-    P = np.zeros_like(reduced)
-    power = np.eye(n)
-    for j in range(n):
-        if j:
-            power = reduced if j == 1 else power @ reduced
-        beta = (-1) ** j * sum(ak * e_all[..., k - 1 - j] for k, ak in a if k > j)
-        P += beta[..., None, None] * power
+    beta = [(-1) ** j * sum(ak * e_all[..., k - 1 - j] for k, ak in a if k > j) for j in range(n)]
+    index = geom._pair_index
+    P = beta[1] * reduced if n > 1 else np.zeros_like(reduced)
+    P[index.diagonal()] += beta[0]
+    if n == 3:
+        square = [sum(reduced[index[i, c]] * reduced[index[c, k]] for c in range(n))
+                  for i, k in _pairs(n)]
+        P += beta[2] * np.stack(square)
     return LinearizedResidual(geom, P)
 
 
@@ -589,7 +603,7 @@ def _newton_step(geom, lin, res, rtol):
     y, iterations, linear_residual = _gmres(operator, -res.ravel(), rtol)
     rho_hat, comps = preconditioned(y)
     dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape, axes=range(geom.n))
-    return dphi, _assemble(comps), float(-rho_hat.flat[0].real / N), iterations, linear_residual
+    return dphi, comps, float(-rho_hat.flat[0].real / N), iterations, linear_residual
 
 
 @dataclass
@@ -619,6 +633,10 @@ def newton_solve(
 ):
     """Damped Newton for the stage-t equation with slack and mean-zero phi.
 
+    Newton stops when |F|_inf <= max(tol, _ROUNDING_FACTOR eps S), S the
+    size of the residual's terms, so that the absolute tol does not ask for
+    more than rounding allows when c0 or the source is large.
+
     Step acceptance needs a residual decrease *and* a strictly positive
     cone margin at every grid point; the damping factor halves down to
     2**-20 before the step is declared inadmissible.  The reduced matrix
@@ -631,7 +649,7 @@ def newton_solve(
     1996): GMRES solves step k to the relative tolerance, the forcing term,
     eta_k = max(min(1e-2, |F_k|_inf), _GMRES_RTOL).  Contraction test
     (Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 3.3):
-    after each accepted step k >= 1 whose residual is still above tol,
+    after each accepted step k >= 1 whose residual is still above that bound,
     Theta_k = |F_{k+1}|_inf / |F_k|_inf > 1/2 raises MaxIterationsError
     naming Theta_k.
 
@@ -653,13 +671,14 @@ def newton_solve(
             "newton_solve: initial state violates the cone condition",
             value=float(margin.min()),
         )
-    res = _residual_from_lam(coeffs, t, f, lam, slack)
+    res, floor = _residual_from_lam(coeffs, t, f, lam, slack)
     trace = []
     res_sup = float(np.abs(res).max())
-    while res_sup > tol:
+    stop = max(tol, floor)
+    while res_sup > stop:
         if len(trace) >= max_iter:
             raise MaxIterationsError(
-                f"newton_solve: residual {res_sup:.3e} above tol {tol:.1e} "
+                f"newton_solve: residual {res_sup:.3e} above {stop:.1e} "
                 f"after {max_iter} iterations"
             )
         lin = _linearization(geom, coeffs, t, reduced, lam)
@@ -676,12 +695,12 @@ def newton_solve(
                 cone_rejections += 1
                 continue
             slack_try = slack + alpha * ds
-            res_try = _residual_from_lam(coeffs, t, f, lam_try, slack_try)
+            res_try, floor = _residual_from_lam(coeffs, t, f, lam_try, slack_try)
             res_try_sup = float(np.abs(res_try).max())
             if res_try_sup <= (1.0 - 1e-4 * alpha) * res_sup:
                 phi, slack = _canonical(phi + alpha * dphi), slack_try
                 reduced, lam = reduced_try, lam_try
-                res, margin, res_sup = res_try, margin_try, res_try_sup
+                res, margin, res_sup, stop = res_try, margin_try, res_try_sup, max(tol, floor)
                 break
         else:
             if cone_rejections == trials:
@@ -697,7 +716,7 @@ def newton_solve(
              "gmres_iterations": gmres_iterations, "linear_residual": linear_residual,
              "forcing": forcing}
         )
-        if len(trace) > 1 and res_sup > tol:
+        if len(trace) > 1 and res_sup > stop:
             theta = res_sup / trace[-2]["residual_sup"]
             if theta > 0.5:
                 raise MaxIterationsError(f"newton_solve: contraction {theta:.3f} > 0.5")
@@ -727,7 +746,7 @@ def cohomology_integrals(geom, coeffs=None, f_grid=None):
     from the same eigenvalue routine as the fields, so phi = 0 solves the
     t = 0 equation to the last bit.
     """
-    lam0 = _eigvals(geom._reduced_omega0[None])[0]
+    lam0 = _eigvals(geom._reduced_omega0).reshape(geom.n)
     n = geom.n
     e_all = elem_sym_all(lam0)
     values = tuple(float(e_all[k] * (1.0 / math.comb(n, k))) for k in range(n + 1))
@@ -760,7 +779,7 @@ def manufacture(geom, coeffs, phi_star):
     _, lam = _positive_field(
         geom, phi, "manufacture: phi_star leaves the positive cone", report_value=False
     )
-    return ManufacturedCase(phi, _sym_part(coeffs, 1.0, lam))
+    return ManufacturedCase(phi, _sym_part(coeffs, 1.0, lam)[0])
 
 
 # ---------------------------------------------------------------------------

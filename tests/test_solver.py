@@ -425,11 +425,12 @@ def test_fd_multiplier_matches_stencil(shape):
     scale = np.abs(quarter).max()
     got = solver._filter(geom, phi, geom._quarter_symbols)
     assert np.abs(got - quarter).max() <= 1e-13 * scale
-    H = 4.0 * solver._assemble(quarter)
-    assert np.abs(potential_hessian(geom, phi) - H).max() <= 1e-13 * 4.0 * scale
+    got = solver._components(potential_hessian(geom, phi))
+    assert np.abs(got - 4.0 * quarter).max() <= 1e-13 * 4.0 * scale
+    H = 4.0 * np.moveaxis(quarter[geom._pair_index], (0, 1), (-2, -1))
     M, _ = _reduced_oracle(geom, H)
     got = solver._reduced_field(geom, phi)
-    assert np.abs(got - M).max() <= 1e-13 * np.abs(M).max()
+    assert np.abs(got - solver._components(M)).max() <= 1e-13 * np.abs(M).max()
 
 
 @pytest.mark.parametrize("shape", FOLD_SHAPES)
@@ -437,9 +438,8 @@ def test_reduced_field_matches_sandwiched_full_spectrum_hessian(shape):
     geom, phi, H = _rough_case(shape, 21)
     reduced = solver._reduced_field(geom, phi)
     oracle, hess_part = _reduced_oracle(geom, H)
-    err = np.abs(reduced - oracle).max()
+    err = np.abs(reduced - solver._components(oracle)).max()
     assert err <= 1e-12 * np.abs(hess_part).max()
-    assert np.array_equal(reduced, np.swapaxes(reduced, -1, -2))
 
 
 @pytest.mark.parametrize("shape", FOLD_SHAPES)
@@ -465,7 +465,24 @@ def test_linearize_q_matches_eigenvector_formula(shape):
                 for k in range(1, n)
             )
         P = (vec * g) @ vec.T
-        assert np.abs(lin.p_field[idx] - P).max() <= 1e-12 * np.abs(P).max()
+        got = lin.p_field[(slice(None), *idx)]
+        assert np.abs(got - solver._components(P)).max() <= 1e-12 * np.abs(P).max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_form_eigenvalues_read_the_symmetric_part(n):
+    # a form field with an antisymmetric part has the generalized
+    # eigenvalues of its symmetric part against chi
+    rng = np.random.default_rng(30 + n)
+    chi = np.eye(n) + 0.3 * np.ones((n, n))
+    geom = TorusGeometry(n, (8,) * n, chi, np.eye(n))
+    A = rng.normal(size=geom.grid_shape + (n, n))
+    sym = A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(n)
+    skew = rng.normal(size=A.shape)
+    got = form_eigenvalues(geom, sym + skew - np.swapaxes(skew, -1, -2))
+    for idx in np.ndindex(geom.grid_shape):
+        reference = scipy.linalg.eigh(sym[idx], chi, eigvals_only=True)
+        assert np.all(np.abs(got[idx] - reference) <= 1e-13 * np.abs(reference))
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -837,6 +854,28 @@ def test_manufactured_recovery_at_256_squared():
     assert state.residual_sup <= 1e-10
 
 
+def test_manufactured_recovery_where_rounding_exceeds_the_tolerance():
+    # omega0 = Q diag(0.5, 30, 1000) Q^T gives c0 = 15 000: rounding alone
+    # keeps the stage residual near 1e-10, so Newton must stop at its
+    # rounding floor, not only at the default tol
+    Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+    omega0 = Q @ np.diag([0.5, 30.0, 1000.0]) @ Q.T
+    geom = TorusGeometry(3, (16, 16, 16), np.eye(3), 0.5 * (omega0 + omega0.T))
+    coeffs = CoefficientSet(3, (0.5, 0.3))
+    phi_star = trig_polynomial(geom.grid_shape, 0.0, [
+        {"amplitude": 0.15 / (4.0 * PI2), "wave": (1, 0, 1), "phase": 0.7},
+        {"amplitude": 0.15 / (8.0 * PI2), "wave": (0, 2, 1), "phase": 0.1},
+    ])
+    case = manufacture(geom, coeffs, phi_star)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        state = continuity_solve(geom, coeffs, case.f_grid)
+    assert state.integrals.c0 == pytest.approx(15000.0, rel=1e-12)
+    assert [s["t"] for s in state.stages] == [0.0, 1.0]
+    assert np.max(np.abs(state.phi - case.phi_star)) <= 1e-12
+    assert state.residual_sup <= 1e-13 * state.integrals.c0
+
+
 def test_manufactured_recovery_fd_second_order():
     coeffs = CoefficientSet(2, (1.0,))
     errs = []
@@ -921,6 +960,28 @@ def test_newton_aborts_on_poor_contraction():
     assert np.max(np.abs(state.phi - case.phi_star)) <= 1e-8
 
 
+def test_contraction_test_does_not_fire_at_the_rounding_floor(monkeypatch):
+    # the x6 case aborts on its contraction test at t = 1; with the rounding
+    # floor moved up to the residual of that last step, Newton stops there
+    geom, coeffs, case = _bench_case(64, 6.0)
+    coeffs = coeffs.with_c0(cohomology_integrals(geom, coeffs, case.f_grid).c0)
+    original = solver._residual_from_lam
+    sups = []
+
+    def recording(*args):
+        res, floor = original(*args)
+        sups.append(float(np.abs(res).max()))
+        return res, floor
+
+    monkeypatch.setattr(solver, "_residual_from_lam", recording)
+    with pytest.raises(MaxIterationsError, match=r"contraction"):
+        newton_solve(geom, coeffs, case.f_grid, 1.0)
+    last = sups[-1]  # the accepted trial whose contraction exceeded 1/2
+    monkeypatch.setattr(solver, "_residual_from_lam", lambda *args: (original(*args)[0], last))
+    state = newton_solve(geom, coeffs, case.f_grid, 1.0)
+    assert state.residual_sup == last > 1e-10
+
+
 def test_class_path_probe_reports_upward_closed_solvability():
     # class 0.45*[chi] sits below the cone threshold (load 0.5/0.45 > 1 at
     # t=1); scaling the class up past 0.5/0.45 - 1 makes the path reachable
@@ -958,19 +1019,34 @@ def test_class_path_probe_keeps_the_geometry_scheme():
         assert spectral.min_cone_margin != state.min_cone_margin
 
 
-def _class_path_threshold(nx, scheme, phase=0.0):
-    """Class-path threshold s*_h bisected 14 times on [0.2, 0.6], and the final
-    bracket width.
-
-    omega0 = 0.45 chi, c = (1) and f = 0.01 cos(2 pi (x + y) + phase), whose
+def _class_path_problem(nx, scheme, phase=0.0):
+    """omega0 = 0.45 chi, c = (1) and f = 0.01 cos(2 pi (x + y) + phase), whose
     minimum falls on a grid point at phase 0 and half a grid step off it at
-    phase pi / nx; the continuum path solves exactly for s > 1/3.
-    """
+    phase pi / nx; the continuum path solves exactly for s > 1/3."""
     chi = np.array([[1.0, 0.2], [0.2, 0.8]])
     geom = geom2(nx, chi, 0.45 * chi, scheme)
-    coeffs = CoefficientSet(2, (1.0,))
     f = trig_polynomial(geom.grid_shape, 0.0,
                         [{"amplitude": 0.01, "wave": (1, 1), "phase": phase}])
+    return geom, CoefficientSet(2, (1.0,)), f
+
+
+def test_class_path_probe_solves_large_classes():
+    # at s = 3000 c0 is about 1.8e6, and rounding alone keeps the stage
+    # residual above 1e-10; every s > 1/3 solves in the continuum
+    geom, coeffs, f = _class_path_problem(32, "fd")
+    s_list = (0.2, 0.6, 10.0, 100.0, 300.0, 1000.0, 3000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = class_path_probe(geom, coeffs, f, s_list)
+    assert [row["solvable"] for row in report.rows] == [False] + [True] * 6
+    assert report.rows[0]["error"] == "StepUnderflowError"
+    assert report.upward_closed
+
+
+def _class_path_threshold(nx, scheme, phase=0.0):
+    """Class-path threshold s*_h of `_class_path_problem` bisected 14 times on
+    [0.2, 0.6], and the final bracket width."""
+    geom, coeffs, f = _class_path_problem(nx, scheme, phase)
     lo, hi = 0.2, 0.6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
