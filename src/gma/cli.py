@@ -279,16 +279,11 @@ def _handle_kernel_identities(config, args, config_dir):
                 worst_chain, float((-drops / np.abs(means[:, :-1])).max())
             )
         # enumeration route vs vectorized routes on a subsample
-        for s, row in enumerate(lam[: min(samples, 20)]):
-            for k in range(n + 1):
-                truth = kernel.elem_sym(row, k)
-                rel = abs(e_all[s, k] - truth) / max(abs(truth), 1e-300)
-                worst_dual = max(worst_dual, rel)
-            for i in range(n):
-                for m in range(n):
-                    truth = kernel.elem_sym_deleted(row, m, i)
-                    rel = abs(deleted[s, i, m] - truth) / max(abs(truth), 1e-300)
-                    worst_dual = max(worst_dual, rel)
+        sub = min(samples, 20)
+        e_truth, deleted_truth = map(np.array, zip(*map(kernel.elem_sym_table, lam[:sub])))
+        for got, truth in ((e_all[:sub], e_truth), (deleted[:sub], deleted_truth)):
+            rel = np.abs(got - truth) / np.maximum(np.abs(truth), 1e-300)
+            worst_dual = max(worst_dual, float(rel.max()))
     passed = worst_recurrence <= tol and worst_chain <= tol and worst_dual <= tol
     report = {
         "nList": n_list,

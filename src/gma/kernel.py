@@ -12,13 +12,17 @@ The cone condition at the point is  max_i L_i < 1,  and V == 1 encodes a
 solved state of the interpolated equation at parameter t.
 
 The scalar routines here are written for clarity and exactness, not
-throughput, and serve as oracles.  The batched layer (`elem_sym_all`,
-`elem_sym_deleted_all`, `margin_field`) acts on the last axis of
-grid-sized arrays and is what the solver, psh and cli evaluate.
+throughput, and serve as oracles.  `elem_sym_table`, the batched
+enumeration oracle, enumerates the subsets of one vector once and returns
+every S_k and S_{m; i} at the bits of `elem_sym` and `elem_sym_deleted`.
+The batched layer (`elem_sym_all`, `elem_sym_deleted_all`, `margin_field`)
+acts on the last axis of grid-sized arrays and is what the solver, psh and
+cli evaluate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,6 +32,7 @@ import numpy as np
 __all__ = [
     "elem_sym",
     "elem_sym_deleted",
+    "elem_sym_table",
     "elem_sym_all",
     "elem_sym_deleted_all",
     "maclaurin_chain",
@@ -55,6 +60,20 @@ __all__ = [
 # elementary symmetric polynomials
 # ---------------------------------------------------------------------------
 
+def _checked_floats(values):
+    """values as a flat list of floats; raises on any non-finite entry."""
+    vals = np.ravel(np.asarray(values, dtype=float)).tolist()
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("elem_sym: non-finite entries")
+    return vals
+
+
+def _enumerated(vals, k):
+    if k < 0 or k > len(vals):
+        return 0.0
+    return float(sum(map(math.prod, itertools.combinations(vals, k))))
+
+
 def elem_sym(values, k):
     """S_k(values): sum over k-element subsets of the entry products.
 
@@ -62,22 +81,46 @@ def elem_sym(values, k):
     serve as ground truth for the recurrence- and convolution-based paths
     used elsewhere.  S_0 = 1, S_k = 0 for k > len(values) or k < 0.
     """
-    vals = np.ravel(np.asarray(values, dtype=float)).tolist()
-    if not all(map(math.isfinite, vals)):
-        raise ValueError("elem_sym: non-finite entries")
-    if k < 0 or k > len(vals):
-        return 0.0
-    if k == 0:
-        return 1.0
-    return float(sum(map(math.prod, itertools.combinations(vals, k))))
+    return _enumerated(_checked_floats(values), k)
 
 
 def elem_sym_deleted(values, k, i):
     """S_{k; i}(values): S_k with index i deleted first."""
-    vals = np.ravel(np.asarray(values, dtype=float)).tolist()
+    vals = _checked_floats(values)
     if not (0 <= i < len(vals)):
         raise ValueError("elem_sym_deleted: index out of range")
-    return elem_sym(vals[:i] + vals[i + 1:], k)
+    return _enumerated(vals[:i] + vals[i + 1:], k)
+
+
+@functools.cache
+def _omitting(n, k):
+    """Per index i, the positions in combinations(range(n), k) of the subsets without i."""
+    subsets = list(itertools.combinations(range(n), k))
+    return tuple(
+        tuple(p for p, subset in enumerate(subsets) if i not in subset) for i in range(n)
+    )
+
+
+def elem_sym_table(values):
+    """(e, deleted) with e[k] = S_k, k = 0..n, and deleted[i][m] = S_{m; i}, m = 0..n-1.
+
+    The enumeration oracle for a whole vector: the products of the
+    k-subsets are formed once per k, and S_{k; i} sums the subsequence of
+    them whose subsets omit i.  That subsequence is `combinations` of the
+    entries without i, tuple for tuple and in the same order, so every
+    entry equals `elem_sym` / `elem_sym_deleted` bit for bit.
+    """
+    vals = _checked_floats(values)
+    n = len(vals)
+    e = []
+    deleted = [[] for _ in range(n)]
+    for k in range(n + 1):
+        products = list(map(math.prod, itertools.combinations(vals, k)))
+        e.append(float(sum(products)))
+        if k < n:
+            for row, kept in zip(deleted, _omitting(n, k)):
+                row.append(float(sum(map(products.__getitem__, kept))))
+    return e, deleted
 
 
 def elem_sym_all(vals):

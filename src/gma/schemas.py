@@ -12,12 +12,8 @@ import jsonschema
 SCHEMA_VERSION = 1
 
 _NUMBER = {"type": "number"}
-_RATIONAL = {
-    "anyOf": [
-        {"type": "integer"},
-        {"type": "string", "pattern": r"^-?\d+(/[1-9]\d*)?$"},
-    ]
-}
+# `pattern` ignores non-strings, so integers pass it unchecked
+_RATIONAL = {"type": ["integer", "string"], "pattern": r"^-?\d+(/[1-9]\d*)?$"}
 _GRID_SHAPE = {
     "type": "array",
     "items": {"type": "integer", "minimum": 8},

@@ -123,6 +123,49 @@ def test_kernel_identities_sweep_passes(tmp_path):
     assert report["seed"] == 3
 
 
+def test_kernel_identities_dual_route_catches_one_skewed_entry(tmp_path, monkeypatch):
+    import gma.kernel
+
+    batched = gma.kernel.elem_sym_deleted_all
+
+    def skewed(vals):
+        out = batched(vals)
+        if vals.shape[-1] == 4:
+            out[5, 2, 1] *= 1.0 + 1e-9  # row 5 lies in the 20-row subsample
+        return out
+
+    monkeypatch.setattr(gma.kernel, "elem_sym_deleted_all", skewed)
+    cfg = write_config(tmp_path, IDENTITIES_CONFIG)
+    code, report = run_json(["kernel", "identities", "--config", cfg, "--seed", "3"])
+    assert code == 1
+    assert report["passed"] is False
+    assert report["checks"]["dualRoute"]["maxRelError"] >= 1e-10
+
+
+def test_kernel_identities_dual_route_equals_the_per_element_loop(tmp_path):
+    from gma.kernel import elem_sym, elem_sym_all, elem_sym_deleted, elem_sym_deleted_all
+
+    n_list, samples, seed = list(range(1, 7)), 25, 7
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in n_list:
+        lam = 10.0 ** rng.uniform(-2.0, 2.0, size=(samples, n))
+        e_all, deleted = elem_sym_all(lam), elem_sym_deleted_all(lam)
+        for s, row in enumerate(lam[:20]):
+            for k in range(n + 1):
+                truth = elem_sym(row, k)
+                worst = max(worst, abs(e_all[s, k] - truth) / max(abs(truth), 1e-300))
+            for i in range(n):
+                for m in range(n):
+                    truth = elem_sym_deleted(row, m, i)
+                    worst = max(worst, abs(deleted[s, i, m] - truth) / max(abs(truth), 1e-300))
+    cfg = write_config(tmp_path, {"schemaVersion": 1, "nList": n_list, "samples": samples})
+    code, report = run_json(["kernel", "identities", "--config", cfg, "--seed", str(seed)])
+    assert code == 0
+    assert worst > 0.0
+    assert report["checks"]["dualRoute"]["maxRelError"] == worst
+
+
 # ---------------------------------------------------------------------------
 # validation failures (exit 2, nothing on stdout)
 # ---------------------------------------------------------------------------
@@ -486,6 +529,21 @@ def test_toric_float_coefficient_exits_2(tmp_path):
     code, out, err = run_cli(["toric", "check", "--config", cfg])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("bad", [1.5, True, None, "1/0"])
+@pytest.mark.parametrize("where", ["c", "vertex"])
+def test_toric_non_rational_entry_exits_2_with_one_line(tmp_path, where, bad):
+    payload = json.loads(json.dumps(TORIC_PASSING))
+    if where == "c":
+        payload["c"] = [bad]
+    else:
+        payload["pOmega"][1][0] = bad
+    code, out, err = run_cli(["toric", "check", "--config", write_config(tmp_path, payload)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gma: config invalid at ")
+    assert len(err.splitlines()) == 1
 
 
 def test_toric_integral_floats_read_as_integers(tmp_path):

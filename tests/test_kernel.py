@@ -17,6 +17,7 @@ from gma.kernel import (
     elem_sym_all,
     elem_sym_deleted,
     elem_sym_deleted_all,
+    elem_sym_table,
     euler_weighted_sum,
     margin_field,
     maclaurin_chain,
@@ -64,6 +65,16 @@ def test_elem_sym_frozen():
 
 def test_elem_sym_deleted_frozen():
     assert elem_sym_deleted((1, 2, 3), 1, 2) == 3.0  # drop the 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oracles_reject_non_finite_entries_even_at_the_deleted_index(bad):
+    row = [bad, 1.0, 2.0]
+    for k in range(3):
+        with pytest.raises(ValueError, match="non-finite"):
+            elem_sym_deleted(row, k, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        elem_sym_table(row)
 
 
 def test_cone_margin_frozen():
@@ -173,6 +184,21 @@ def test_deleted_recurrence():
                     lam, k - 1, i
                 )
                 assert _close(sk, rec)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_elem_sym_table_equals_the_scalar_oracles_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    rows = [
+        rng.uniform(0.5, 2.0, size=n) * 10.0 ** rng.uniform(-spread, spread, size=n)
+        for spread in (2, 8)
+    ]
+    rows.append(np.arange(1, n + 1) * (-1) ** np.arange(n))
+    for row in rows:
+        e, deleted = elem_sym_table(row)
+        assert len(e) == n + 1 and [len(d) for d in deleted] == [n] * n
+        assert e == [elem_sym(row, k) for k in range(n + 1)]
+        assert deleted == [[elem_sym_deleted(row, m, i) for m in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
