@@ -354,12 +354,9 @@ def _handle_solve_classpath(config, args, config_dir):
 
 def _handle_toric_check(config, args, config_dir):
     from .toric import ClassPolytopePair, RationalPolytope, check_criterion
-
-    def rat(v):
-        return Fraction(v) if isinstance(v, str) else Fraction(int(v))
-
-    p_omega = RationalPolytope([tuple(rat(c) for c in v) for v in config["pOmega"]])
-    p_chi = RationalPolytope([tuple(rat(c) for c in v) for v in config["pChi"]])
+    # Fraction reads every schema-admitted entry exactly: ints, integral floats, "p/q"
+    p_omega = RationalPolytope([tuple(map(Fraction, v)) for v in config["pOmega"]])
+    p_chi = RationalPolytope([tuple(map(Fraction, v)) for v in config["pChi"]])
     labels = None
     if "faceLabels" in config:
         labels = {
@@ -367,7 +364,7 @@ def _handle_toric_check(config, args, config_dir):
             for key, name in config["faceLabels"].items()
         }
     pair = ClassPolytopePair(p_omega, p_chi, face_labels=labels)
-    result = check_criterion(pair, [rat(v) for v in config["c"]])
+    result = check_criterion(pair, [Fraction(v) for v in config["c"]])
     report = {
         **_fields(result),
         "n": pair.n,

@@ -12,9 +12,9 @@ The cone condition at the point is  max_i L_i < 1,  and V == 1 encodes a
 solved state of the interpolated equation at parameter t.
 
 The scalar routines here are written for clarity and exactness, not
-throughput, and serve as oracles.  `elem_sym_table`, the batched
-enumeration oracle, enumerates the subsets of one vector once and returns
-every S_k and S_{m; i} at the bits of `elem_sym` and `elem_sym_deleted`.
+throughput, and serve as oracles.  Each reads one `elem_sym_table`, which
+enumerates the subsets of its vector once and returns every S_k and
+S_{m; i} at the bits of the definitions `elem_sym` and `elem_sym_deleted`.
 The batched layer (`elem_sym_all`, `elem_sym_deleted_all`, `margin_field`)
 acts on the last axis of grid-sized arrays and is what the solver, psh and
 cli evaluate.
@@ -160,10 +160,8 @@ def maclaurin_chain(values):
         raise ValueError("maclaurin_chain: need a non-empty vector")
     if np.any(vals <= 0):
         raise ValueError("maclaurin_chain: entries must be positive")
-    n = vals.size
-    return tuple(
-        (elem_sym(vals, k) / math.comb(n, k)) ** (1.0 / k) for k in range(1, n + 1)
-    )
+    e, _ = elem_sym_table(vals)
+    return tuple((e[k] / math.comb(vals.size, k)) ** (1.0 / k) for k in range(1, vals.size + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +270,12 @@ def cone_margin(coeffs, t, lam):
     if not (0.0 <= t <= 1.0):
         raise ValueError("cone_margin: t must lie in [0, 1]")
     n = coeffs.n
-    x = [1.0 / v for v in prof.values]
+    _, deleted = elem_sym_table([1.0 / v for v in prof.values])
     loads = []
-    for i in range(n):
+    for row in deleted:
         li = 0.0
         for k, w in coeffs.weights(t):
-            li += w * elem_sym_deleted(x, n - k, i)
+            li += w * row[n - k]
         loads.append(li)
     margin = 1.0 - max(loads)
     return ConeReport(tuple(loads), margin, margin > 0.0)
@@ -313,11 +311,11 @@ def operator_value(coeffs, t, f_at_point, lam):
     prof = _as_profile(coeffs, lam)
     c0_term = coeffs.c0_term(t)
     n = coeffs.n
-    x = [1.0 / v for v in prof.values]
+    e, _ = elem_sym_table([1.0 / v for v in prof.values])
     val = 0.0
     for k, w in coeffs.weights(t):
-        val += w * elem_sym(x, n - k)
-    val += (t * f_at_point + c0_term) * elem_sym(x, n)
+        val += w * e[n - k]
+    val += (t * f_at_point + c0_term) * e[n]
     return val
 
 
@@ -333,14 +331,13 @@ def operator_gradient(coeffs, t, f_at_point, lam):
     prof = _as_profile(coeffs, lam)
     c0_term = coeffs.c0_term(t)
     n = coeffs.n
-    x = [1.0 / v for v in prof.values]
-    sig_n = elem_sym(x, n)
+    e, deleted = elem_sym_table([1.0 / v for v in prof.values])
     grad = []
-    for i, li in enumerate(prof.values):
+    for li, row in zip(prof.values, deleted):
         inner = 0.0
         for k, w in coeffs.weights(t):
-            inner += w / li * elem_sym_deleted(x, n - k - 1, i)
-        inner += (t * f_at_point + c0_term) * sig_n
+            inner += w / li * row[n - k - 1]
+        inner += (t * f_at_point + c0_term) * e[n]
         grad.append(-inner / li)
     return tuple(grad)
 
@@ -356,11 +353,11 @@ def euler_weighted_sum(coeffs, t, f_at_point, lam):
     prof = _as_profile(coeffs, lam)
     c0_term = coeffs.c0_term(t)
     n = coeffs.n
-    x = [1.0 / v for v in prof.values]
+    e, _ = elem_sym_table([1.0 / v for v in prof.values])
     total = 0.0
     for k, w in coeffs.weights(t):
-        total += (n - k) * w * elem_sym(x, n - k)
-    total += n * (t * f_at_point + c0_term) * elem_sym(x, n)
+        total += (n - k) * w * e[n - k]
+    total += n * (t * f_at_point + c0_term) * e[n]
     return total
 
 

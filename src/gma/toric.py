@@ -3,8 +3,8 @@
 Classes are encoded by their moment polytopes (exact rational vertices);
 torus-invariant subvarieties correspond to proper faces of the shared
 normal fan.  Each face's intersection numbers come from the volume
-polynomial of the shared fan: Vol(P + jQ) at j = 0..d and one exact
-Vandermonde solve give the face's whole row of lattice-normalized mixed
+polynomial of the shared fan: its lattice volume in P + jQ, j = 0..d, and
+one exact Vandermonde solve give its row of lattice-normalized mixed
 volumes, tabulated once per class pair.  The criterion value
 
     C(n,p) * int_V Omega^{n-p} - sum_{k=p}^{n-1} c_k C(k,p) int_V chi^{n-k} Omega^{k-p}
@@ -357,7 +357,7 @@ def mixed_volume(polys):
 
 
 # ---------------------------------------------------------------------------
-# shared-fan class pairs, each face pair projected and tabulated once
+# shared-fan class pairs, every face's row tabulated once
 # ---------------------------------------------------------------------------
 
 def _polynomial_coefficients(values):
@@ -376,29 +376,25 @@ def _polynomial_coefficients(values):
     return [row[-1] for row in rows]
 
 
-def _intersection_row(po, pc, index):
+def _face_volume(vertices, active):
+    """Lattice volume of the edge or 2-face with the given vertices and tight
+    facet-normal set: a lattice length, or the area projected along the
+    facet normal, each divided by the projection's lattice index."""
+    if len(vertices[0]) - len(active) == 1:
+        v, w = vertices
+        (i,), index = _projection(_primitive(_sub(w, v)), edge=True)
+        return abs(w[i] - v[i]) / index
+    keep, index = _projection(next(iter(active)), edge=False)
+    return _shoelace(_chain_2d([tuple(v[i] for i in keep) for v in vertices])) / index
+
+
+def _intersection_row(volumes):
     """(I(d, 0), I(d-1, 1), ..., I(0, d)) of a d-dimensional face pair with a
-    shared normal fan, projected with the given lattice index.
-
-    Vertices correspond by their tight facet-normal sets, so P + jQ has the
-    vertices v + j w and Vol(P + jQ) = sum_b C(d, b) MV(P^(d-b), Q^b) j^b;
-    then I(d-b, b) = d! MV(P^(d-b), Q^b) / index.
-    """
-    d = po.dim
-
-    def by_cone(P):
-        return {frozenset(n for n, off in P.facets if _dot(n, v) == off): v for v in P.vertices}
-
-    chi_vertices = by_cone(pc)
-    pairs = [(v, chi_vertices[cone]) for cone, v in by_cone(po).items()]
-    vols = [volume(po)] + [
-        volume(RationalPolytope([tuple(x + j * y for x, y in zip(v, w)) for v, w in pairs]))
-        for j in range(1, d + 1)
-    ]
-    return tuple(
-        math.factorial(d) * c / (math.comb(d, b) * index)
-        for b, c in enumerate(_polynomial_coefficients(vols))
-    )
+    shared normal fan, from the lattice volumes of the face of P + jQ at
+    j = 0..d: Vol(P + jQ) = sum_b C(d, b) MV(P^(d-b), Q^b) j^b and
+    I(d-b, b) = d! MV(P^(d-b), Q^b)."""
+    d, coeffs = len(volumes) - 1, _polynomial_coefficients(volumes)
+    return tuple(math.factorial(d) * c / math.comb(d, b) for b, c in enumerate(coeffs))
 
 
 @dataclass(frozen=True)
@@ -408,11 +404,11 @@ class ClassPolytopePair:
     correspond one-to-one.  face_labels optionally names codim-1 faces by
     their outer normal; a key that is not a facet normal is a ValueError.
 
-    Each face pair is projected once, to coordinates that are injective on
-    its span, and _table maps the active normal set (None for the whole
-    space) to the face's row of intersection numbers I(d, 0), I(d-1, 1),
-    ..., I(0, d), where d is the face's dimension and I(a, b) is
-    int_V Omega^a chi^b."""
+    Vertices are matched once, by their tight facet-normal sets, and every
+    face's lattice volume in P + jQ is read from them.  _table maps the
+    active normal set (None for the whole space) to the face's row of
+    intersection numbers I(d, 0), I(d-1, 1), ..., I(0, d), where d is the
+    face's dimension and I(a, b) is int_V Omega^a chi^b."""
 
     p_omega: RationalPolytope
     p_chi: RationalPolytope
@@ -434,18 +430,28 @@ class ClassPolytopePair:
             if tuple(normal) not in self.p_omega.facet_normals:
                 raise ValueError(f"faceLabels: {tuple(normal)} is not a facet normal")
             labels[frozenset({tuple(normal)})] = label
-        table = {None: _intersection_row(self.p_omega, self.p_chi, 1)}
-        for active in sorted(omega_faces, key=lambda a: (len(a), sorted(a))):
-            fo = omega_faces[active]
-            if self.n - len(active) == 1:
-                keep, index = _projection(_primitive(_sub(fo[1], fo[0])), edge=True)
-            else:
-                keep, index = _projection(next(iter(active)), edge=False)
-            po, pc = (
-                RationalPolytope([tuple(v[i] for i in keep) for v in verts])
-                for verts in (fo, chi_faces[active])
-            )
-            table[active] = _intersection_row(po, pc, index)
+
+        def by_cone(P):
+            return {frozenset(u for u, h in P.facets if _dot(u, v) == h): v for v in P.vertices}
+
+        n, chi_heights, chi_by_cone = self.n, dict(self.p_chi.facets), by_cone(self.p_chi)
+        partner = {v: chi_by_cone[cone] for cone, v in by_cone(self.p_omega).items()}
+        volumes = {  # the face of P + jQ has the vertices v + j w; facets also serve j = n
+            active: [
+                _face_volume([_add(v, tuple(j * y for y in partner[v])) for v in verts], active)
+                for j in range(n + 1 if len(active) == 1 else n - len(active) + 1)
+            ]
+            for active, verts in omega_faces.items()
+        }
+        # Vol(P + jQ) by pyramids over its facets, apex at the origin (1-D facets are points)
+        whole = [
+            sum((h + j * chi_heights[u]) * (volumes[frozenset({u})][j] if n > 1 else 1)
+                for u, h in self.p_omega.facets) / n
+            for j in range(n + 1)
+        ]
+        table = {None: _intersection_row(whole)}
+        for active in sorted(volumes, key=lambda a: (len(a), sorted(a))):
+            table[active] = _intersection_row(volumes[active][: n - len(active) + 1])
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_table", table)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gma import toric
 from gma.exceptions import FanMismatchError
 from gma.toric import (
     ClassPolytopePair,
@@ -467,6 +468,12 @@ def _box(sides):
     return RationalPolytope(list(itertools.product(*[(0, s) for s in sides])))
 
 
+def _sum_pair(a, b):
+    """A + B and A + 2B: Minkowski sums with positive weights share a normal fan."""
+    A, B = RationalPolytope(a), RationalPolytope(b)
+    return minkowski_sum(A, B), minkowski_sum(A, scale_polytope(B, 2))
+
+
 _SHARED_FAN_PAIRS = {
     # the mapped boxes' vertices sort in different orders, so only the
     # tight facet-normal sets can match them
@@ -479,6 +486,14 @@ _SHARED_FAN_PAIRS = {
     ),
     "blowup": blowup_pair,
     "3triangle-triangle": lambda: p2_pair(3),
+    # generic fans: triangle and parallelogram facets with normals off the axes
+    "tetrahedra-sums": lambda: ClassPolytopePair(*_sum_pair(
+        [(0, 0, 0), (2, 1, 0), (1, 3, 1), (0, 1, 3)],
+        [(0, 0, 0), (1, 2, -1), (-2, 1, 1), (1, -1, 2)],
+    )),
+    "triangle-square-sums": lambda: ClassPolytopePair(*_sum_pair(
+        [(0, 0), (2, 1), (1, 3)], [(0, 0), (1, 0), (1, 1), (0, 1)],
+    )),
 }
 
 
@@ -496,6 +511,24 @@ def test_intersection_rows_match_mixed_volume_oracle(name, mapped):
             value = intersection_number(pair, key, d - b, b)
             assert value == math.factorial(d) * mixed_volume([po] * (d - b) + [pc] * b) / index
             assert value > 0
+
+
+def test_face_table_builds_no_polytope(monkeypatch):
+    # every face's row comes from the two input polytopes' vertices and facets
+    omega, chi = _box([3, 2, 5]), _box([1, 2, 1])
+    built = []
+    original = RationalPolytope.__init__
+
+    def counting(self, vertices):
+        built.append(self)
+        original(self, vertices)
+
+    monkeypatch.setattr(toric.RationalPolytope, "__init__", counting)
+    pair = ClassPolytopePair(omega, chi)
+    monkeypatch.undo()
+    assert len(built) == 0
+    assert len(pair.faces()) == 18
+    assert intersection_number(pair, None, 3, 0) == 6 * 30
 
 
 def test_coefficient_validation():
