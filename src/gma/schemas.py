@@ -86,10 +86,12 @@ _KERNEL_CHOICE = {
     "required": ["type"],
     "additionalProperties": False,
 }
+# the 3-D hull search costs about C(V,3) V: about 0.15 s at 32 random vertices, 2-3 s at 64
 _VERTICES = {
     "type": "array",
     "items": {"type": "array", "items": _RATIONAL, "minItems": 1, "maxItems": 3},
     "minItems": 2,
+    "maxItems": 64,
 }
 
 

@@ -831,19 +831,22 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
 
     The constant c0 comes from the class integrals, which the returned
     state carries as `integrals`; the discrete compatibility defect must
-    not exceed _COMPAT_TOL.  Step control lets Newton's own convergence
-    drive the path: the first attempt jumps by dt_init (default 1, straight
-    to t = 1); a stage whose `newton_solve` fails (a cone breach, a GMRES
-    stall, the iteration cap, or a contraction Theta > 1/2) is retried from
-    the last accepted stage with dt halved; dt doubles after two consecutive
-    successes, never above dt_init; dt below _DT_MIN raises
-    StepUnderflowError.
+    not exceed max(_COMPAT_TOL, _ROUNDING_FACTOR eps S), the Newton stop's
+    rule, with S = c0 + sum_k c_k value_k + |f|_inf.  Step control lets
+    Newton's own convergence drive the path: the first attempt jumps by
+    dt_init (default 1, straight to t = 1); a stage whose `newton_solve`
+    fails (a cone breach, a GMRES stall, the iteration cap, or a contraction
+    Theta > 1/2) is retried from the last accepted stage with dt halved; dt
+    doubles after two consecutive successes, never above dt_init; dt below
+    _DT_MIN raises StepUnderflowError.
     """
     f = _checked_grid(f_grid, geom.grid_shape, "f")
     integrals = cohomology_integrals(geom, coeffs, f)
-    if abs(integrals.defect) > _COMPAT_TOL:
+    size = integrals.c0 + sum(c * v for c, v in zip(coeffs.c, integrals.values[1:]))
+    bound = max(_COMPAT_TOL, _ROUNDING_FACTOR * np.finfo(float).eps * (size + np.abs(f).max()))
+    if abs(integrals.defect) > bound:
         raise CompatibilityError(
-            f"compatibility defect {integrals.defect:.3e} exceeds {_COMPAT_TOL:.1e}",
+            f"compatibility defect {integrals.defect:.3e} exceeds {bound:.1e}",
             defect=integrals.defect,
         )
     coeffs = coeffs.with_c0(integrals.c0)

@@ -2,7 +2,10 @@
 
 Classes are encoded by their moment polytopes (exact rational vertices);
 torus-invariant subvarieties correspond to proper faces of the shared
-normal fan.  Each face's intersection numbers come from the volume
+normal fan.  Only the hull search depends on the dimension: each polytope
+derives its sorted vertices and its faces once from its vertex cones (the
+facet normals tight at a vertex), and a class pair matches its vertices by
+cone.  Each face's intersection numbers come from the volume
 polynomial of the shared fan: its lattice volume in P + jQ, j = 0..d, and
 one exact Vandermonde solve give its row of lattice-normalized mixed
 volumes, tabulated once per class pair.  The criterion value
@@ -37,13 +40,11 @@ __all__ = [
 
 
 def _rat(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"exact rational expected (int, Fraction or 'p/q' string), got {type(x).__name__}")
+    raise TypeError(
+        f"exact rational expected (int, Fraction or 'p/q' string), got {type(x).__name__}"
+    )
 
 
 def _point(p):
@@ -102,10 +103,8 @@ def _rank(vectors, dim):
 # ---------------------------------------------------------------------------
 
 def _chain_2d(points):
-    """Monotone-chain hull; counter-clockwise extreme vertices."""
+    """Monotone-chain hull of a full-dimensional set; counter-clockwise vertices."""
     pts = sorted(set(points))
-    if len(pts) < 3:
-        raise ValueError("degenerate polytope: fewer than 3 distinct vertices")
 
     def half(seq):
         out = []
@@ -120,12 +119,7 @@ def _chain_2d(points):
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise ValueError("degenerate polytope: vertices are collinear")
-    return hull
+    return half(pts)[:-1] + half(reversed(pts))[:-1]
 
 
 def _facets_3d(points):
@@ -152,13 +146,9 @@ def _facets_3d(points):
         values = [_dot(normal, p) for p in ipts]
         off = values[i]
         if normal not in found and max(values) == off:
-            found[normal] = frozenset(
-                t for t, v in enumerate(values) if v == off
-            )
+            found[normal] = frozenset(t for t, v in enumerate(values) if v == off)
         if neg not in found and min(values) == off:
-            found[neg] = frozenset(
-                t for t, v in enumerate(values) if v == off
-            )
+            found[neg] = frozenset(t for t, v in enumerate(values) if v == off)
     facets = {}
     for n, tight_idx in found.items():
         tight = tuple(pts[t] for t in sorted(tight_idx))
@@ -166,12 +156,31 @@ def _facets_3d(points):
     return facets
 
 
+def _facets(points, dim):
+    """{primitive outer normal: (offset, tight points)} of the hull of a
+    full-dimensional point set: the two endpoints of a segment, the edges of
+    a polygon (each tight at its two ends), the exhaustive search in 3-D."""
+    if dim == 1:
+        lo, hi = min(points), max(points)
+        return {(-1,): (-lo[0], (lo,)), (1,): (hi[0], (hi,))}
+    if dim == 2:
+        hull, facets = _chain_2d(points), {}
+        for v, w in zip(hull, hull[1:] + hull[:1]):
+            normal = _primitive((w[1] - v[1], v[0] - w[0]))
+            facets[normal] = (_dot(normal, v), (v, w))
+        return facets
+    return _facets_3d(points)
+
+
 class RationalPolytope:
     """Full-dimensional convex lattice-rational polytope in dimension 1-3.
 
-    Vertices may be given redundantly; the exact hull keeps the extreme
-    points and derives the facet description (primitive outer normals with
-    rational offsets) and the proper faces of codimension 1..dim-1.
+    Vertices may be given redundantly.  The hull search gives the facets
+    (primitive outer normals, rational offsets) and the points tight on each;
+    a point's cone is the set of normals tight at it.  The vertices are the
+    points whose cone has full rank, in sorted order (in 2-D too: a consumer
+    that needs the cyclic order sorts them itself).  A set A of codim normals
+    is a proper face when more than dim - codim vertices have A in their cone.
     """
 
     def __init__(self, vertices):
@@ -181,57 +190,31 @@ class RationalPolytope:
         dims = {len(p) for p in pts}
         if len(dims) != 1:
             raise ValueError("vertices of mixed dimension")
-        self.dim = dims.pop()
-        if self.dim not in (1, 2, 3):
+        self.dim = dim = dims.pop()
+        if dim not in (1, 2, 3):
             raise ValueError("only dimensions 1, 2 and 3 are supported")
-        base = pts[0]
-        if _rank([_sub(p, base) for p in pts[1:]], self.dim) != self.dim:
+        if _rank([_sub(p, pts[0]) for p in pts[1:]], dim) != dim:
             raise ValueError("degenerate polytope: not full-dimensional")
-        if self.dim == 1:
-            lo = min(p[0] for p in pts)
-            hi = max(p[0] for p in pts)
-            self.vertices = ((lo,), (hi,))
-            self.facets = (((1,), hi), ((-1,), -lo))
-            self._faces = {}
-        elif self.dim == 2:
-            hull = _chain_2d(pts)
-            self.vertices = tuple(hull)
-            facets = []
-            for i, v in enumerate(hull):
-                w = hull[(i + 1) % len(hull)]
-                d = _sub(w, v)
-                normal = _primitive((d[1], -d[0]))
-                facets.append((normal, _dot(normal, v)))
-            self.facets = tuple(facets)
-            self._faces = {
-                frozenset({n}): (v, hull[(i + 1) % len(hull)])
-                for i, ((n, _), v) in enumerate(zip(facets, hull))
-            }
-        else:
-            facets = _facets_3d(pts)
-            if len(facets) < 4:
-                raise ValueError("degenerate polytope: not full-dimensional")
-            active_count = {p: [] for p in set(pts)}
-            for n, (_, tight) in facets.items():
-                for p in tight:
-                    active_count[p].append(n)
-            self.vertices = tuple(sorted(
-                p for p, normals in active_count.items()
-                if len(normals) >= 3 and _rank(normals, 3) == 3
-            ))
-            vset = set(self.vertices)
-            self.facets = tuple(
-                (n, off) for n, (off, _) in sorted(facets.items())
-            )
-            self._faces = {
-                frozenset({n}): tuple(p for p in tight if p in vset)
-                for n, (_, tight) in sorted(facets.items())
-            }
-            # two facets of a 3-polytope meet in an edge iff they share two vertices
-            for (a, va), (b, vb) in itertools.combinations(list(self._faces.items()), 2):
-                common = tuple(p for p in va if p in vb)
-                if len(common) == 2:
-                    self._faces[a | b] = common
+        facets = _facets(pts, dim)
+        self.facets = tuple((n, off) for n, (off, _) in sorted(facets.items()))
+        cones = {}
+        for n, (_, tight) in facets.items():
+            for p in tight:
+                cones.setdefault(p, []).append(n)
+        self._cones = {
+            p: frozenset(cone) for p, cone in sorted(cones.items()) if _rank(cone, dim) == dim
+        }
+        self.vertices = tuple(self._cones)
+        holders = {}
+        for v, cone in self._cones.items():
+            for codim in range(1, dim):
+                for active in itertools.combinations(sorted(cone), codim):
+                    holders.setdefault(frozenset(active), []).append(v)
+        self._faces = {
+            active: tuple(holders[active])
+            for active in sorted(holders, key=lambda a: (len(a), sorted(a)))
+            if len(holders[active]) > dim - len(active)
+        }
 
     @property
     def facet_normals(self):
@@ -430,12 +413,9 @@ class ClassPolytopePair:
             if tuple(normal) not in self.p_omega.facet_normals:
                 raise ValueError(f"faceLabels: {tuple(normal)} is not a facet normal")
             labels[frozenset({tuple(normal)})] = label
-
-        def by_cone(P):
-            return {frozenset(u for u, h in P.facets if _dot(u, v) == h): v for v in P.vertices}
-
-        n, chi_heights, chi_by_cone = self.n, dict(self.p_chi.facets), by_cone(self.p_chi)
-        partner = {v: chi_by_cone[cone] for cone, v in by_cone(self.p_omega).items()}
+        n, chi_heights = self.n, dict(self.p_chi.facets)
+        chi_vertex = {cone: w for w, cone in self.p_chi._cones.items()}
+        partner = {v: chi_vertex[cone] for v, cone in self.p_omega._cones.items()}
         volumes = {  # the face of P + jQ has the vertices v + j w; facets also serve j = n
             active: [
                 _face_volume([_add(v, tuple(j * y for y in partner[v])) for v in verts], active)
@@ -449,9 +429,8 @@ class ClassPolytopePair:
                 for u, h in self.p_omega.facets) / n
             for j in range(n + 1)
         ]
-        table = {None: _intersection_row(whole)}
-        for active in sorted(volumes, key=lambda a: (len(a), sorted(a))):
-            table[active] = _intersection_row(volumes[active][: n - len(active) + 1])
+        table = {None: _intersection_row(whole)}  # faces() come by codimension, then normals
+        table.update((a, _intersection_row(vol[: n - len(a) + 1])) for a, vol in volumes.items())
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_table", table)
 

@@ -546,6 +546,15 @@ def test_toric_non_rational_entry_exits_2_with_one_line(tmp_path, where, bad):
     assert len(err.splitlines()) == 1
 
 
+def test_toric_vertex_list_is_capped_at_64(tmp_path):
+    payload = {**TORIC_PASSING, "pOmega": [[k, k * k, k ** 3] for k in range(65)]}
+    code, out, err = run_cli(["toric", "check", "--config", write_config(tmp_path, payload)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gma: config invalid at ")
+    assert len(err.splitlines()) == 1
+
+
 def test_toric_integral_floats_read_as_integers(tmp_path):
     as_floats = {**TORIC_PASSING, "pOmega": [[0, 0], [2.0, 0], [0, 2]], "c": [2.0]}
     expected = run_cli(["toric", "check", "--config", write_config(tmp_path, TORIC_PASSING)])

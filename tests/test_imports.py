@@ -25,13 +25,16 @@ def _private_cross_module_uses(source):
     modules, found = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "gma"):
-            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name.startswith("_")]
+            found += [
+                f"{node.lineno}: import {a.name}" for a in node.names if a.name.startswith("_")
+            ]
             if node.module is None or node.module == "gma":
                 modules |= {a.asname or a.name for a in node.names}
         elif isinstance(node, ast.Import):
             modules |= {a.asname or "gma" for a in node.names if a.name.split(".")[0] == "gma"}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
             owner = node.value
             while isinstance(owner, ast.Attribute):
                 owner = owner.value
@@ -57,6 +60,17 @@ def test_no_private_cross_module_imports():
         for use in _private_cross_module_uses(path.read_text(encoding="utf-8"))
     ]
     assert not offenders, "private names used across modules:\n" + "\n".join(offenders)
+
+
+def test_lines_fit_in_100_characters():
+    root = Path(__file__).resolve().parents[1]
+    long_lines = [
+        f"{path.relative_to(root)}:{number}: {len(line)}"
+        for path in sorted([*(root / "src" / "gma").glob("*.py"), *(root / "tests").glob("*.py")])
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not long_lines, "lines over 100 characters:\n" + "\n".join(long_lines)
 
 
 def test_public_names_resolve():

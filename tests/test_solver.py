@@ -876,6 +876,28 @@ def test_manufactured_recovery_where_rounding_exceeds_the_tolerance():
     assert state.residual_sup <= 1e-13 * state.integrals.c0
 
 
+def test_compatibility_bound_scales_with_the_class():
+    # 30x the class above gives c0 = 4.05e8: exactly compatible data carry a
+    # defect near 1e-6 from rounding alone, far above the absolute 1e-8
+    Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+    omega0 = 30.0 * Q @ np.diag([0.5, 30.0, 1000.0]) @ Q.T
+    geom = TorusGeometry(3, (16, 16, 16), np.eye(3), 0.5 * (omega0 + omega0.T))
+    coeffs = CoefficientSet(3, (0.5, 0.3))
+    phi_star = trig_polynomial(geom.grid_shape, 0.0, [
+        {"amplitude": 0.15 / (4.0 * PI2), "wave": (1, 0, 1), "phase": 0.7},
+        {"amplitude": 0.15 / (8.0 * PI2), "wave": (0, 2, 1), "phase": 0.1},
+    ])
+    case = manufacture(geom, coeffs, phi_star)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        state = continuity_solve(geom, coeffs, case.f_grid)
+        assert state.integrals.c0 == pytest.approx(4.05e8, rel=1e-12)
+        assert abs(state.integrals.defect) > 1e-8
+        assert np.max(np.abs(state.phi - case.phi_star)) <= 1e-12
+        with pytest.raises(CompatibilityError, match="exceeds"):
+            continuity_solve(geom, coeffs, case.f_grid + 1e-9 * state.integrals.c0)
+
+
 def test_manufactured_recovery_fd_second_order():
     coeffs = CoefficientSet(2, (1.0,))
     errs = []

@@ -238,16 +238,22 @@ def test_fan_mismatch_at_codimension_2():
             [[1, 1, 1], [0, 1, 2], [1, 2, 4]],
         ),
         lambda: RationalPolytope([(1, 0), (2, 0), (3, 1), (2, 2), (1, 2), (0, 1)]),
+        lambda: RationalPolytope([(F(1, 3),), (-2,), (5,)]),
+        lambda: RationalPolytope([(0, 0), (2, 0), (1, 0), (2, 3), (0, 3), (2, 0)]),
     ],
-    ids=["cube", "simplex", "octahedron", "cut-octahedron", "mapped-box", "hexagon"],
+    ids=[
+        "cube", "simplex", "octahedron", "cut-octahedron", "mapped-box", "hexagon",
+        "segment-with-interior-point", "square-with-repeat-and-edge-point",
+    ],
 )
 def test_faces_match_tight_vertex_oracle(make):
     P = make()
     faces = P.faces()
+    assert all(0 < len(active) < P.dim for active in faces)
     counts = [len(P.vertices)] + [
         sum(1 for active in faces if len(active) == P.dim - d) for d in range(1, P.dim)
     ]
-    # Euler-Poincare: V - E + F = 2 in dimension 3, V - E = 0 for a polygon
+    # Euler-Poincare: V - E + F = 2 in dimension 3, V - E = 0 for a polygon, V = 2 for a segment
     assert sum((-1) ** d * f for d, f in enumerate(counts)) == 1 - (-1) ** P.dim
     for active, verts in faces.items():
         direction = tuple(sum(c) for c in zip(*active))
