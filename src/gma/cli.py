@@ -280,8 +280,7 @@ def _handle_kernel_identities(config, args, config_dir):
             )
         # enumeration route vs vectorized routes on a subsample
         sub = min(samples, 20)
-        e_truth, deleted_truth = map(np.array, zip(*map(kernel.elem_sym_table, lam[:sub])))
-        for got, truth in ((e_all[:sub], e_truth), (deleted[:sub], deleted_truth)):
+        for got, truth in zip((e_all[:sub], deleted[:sub]), kernel.elem_sym_table(lam[:sub])):
             rel = np.abs(got - truth) / np.maximum(np.abs(truth), 1e-300)
             worst_dual = max(worst_dual, float(rel.max()))
     passed = worst_recurrence <= tol and worst_chain <= tol and worst_dual <= tol
@@ -352,6 +351,14 @@ def _handle_solve_classpath(config, args, config_dir):
     return {"rows": probe.rows, "upwardClosed": probe.upward_closed}, {}, 0
 
 
+def _float(q):
+    """float(q), or an infinity of q's sign past the float range, which reports as null."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _handle_toric_check(config, args, config_dir):
     from .toric import ClassPolytopePair, RationalPolytope, check_criterion
     # Fraction reads every schema-admitted entry exactly: ints, integral floats, "p/q"
@@ -368,9 +375,9 @@ def _handle_toric_check(config, args, config_dir):
     report = {
         **_fields(result),
         "n": pair.n,
-        "epsilon_uniform_float": float(result.epsilon_uniform),
+        "epsilon_uniform_float": _float(result.epsilon_uniform),
         "per_face": [
-            {**_fields(row), "lhs_float": float(row.lhs), "ratio_float": float(row.ratio)}
+            {**_fields(row), "lhs_float": _float(row.lhs), "ratio_float": _float(row.ratio)}
             for row in result.per_face
         ],
     }

@@ -16,8 +16,9 @@ throughput, and serve as oracles.  Each reads one `elem_sym_table`, which
 enumerates the subsets of its vector once and returns every S_k and
 S_{m; i} at the bits of the definitions `elem_sym` and `elem_sym_deleted`.
 The batched layer (`elem_sym_all`, `elem_sym_deleted_all`, `margin_field`)
-acts on the last axis of grid-sized arrays and is what the solver, psh and
-cli evaluate.
+is what the solver, psh and cli evaluate.  It takes fields of shape
+(..., n) but computes on planes, the last axis moved to the front; the
+solver's eigenvalue fields are contiguous planes with (..., n) as a view.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +62,10 @@ __all__ = [
 # elementary symmetric polynomials
 # ---------------------------------------------------------------------------
 
-def _checked_floats(values):
-    """values as a flat list of floats; raises on any non-finite entry."""
-    vals = np.ravel(np.asarray(values, dtype=float)).tolist()
-    if not all(map(math.isfinite, vals)):
+def _checked(values):
+    """values as a float array; raises on any non-finite entry."""
+    vals = np.asarray(values, dtype=float)
+    if not np.isfinite(vals).all():
         raise ValueError("elem_sym: non-finite entries")
     return vals
 
@@ -71,7 +73,8 @@ def _checked_floats(values):
 def _enumerated(vals, k):
     if k < 0 or k > len(vals):
         return 0.0
-    return float(sum(map(math.prod, itertools.combinations(vals, k))))
+    # left to right: builtin sum is compensated from Python 3.12
+    return functools.reduce(operator.add, map(math.prod, itertools.combinations(vals, k)), 0.0)
 
 
 def elem_sym(values, k):
@@ -81,59 +84,69 @@ def elem_sym(values, k):
     serve as ground truth for the recurrence- and convolution-based paths
     used elsewhere.  S_0 = 1, S_k = 0 for k > len(values) or k < 0.
     """
-    return _enumerated(_checked_floats(values), k)
+    return _enumerated(_checked(values).ravel().tolist(), k)
 
 
 def elem_sym_deleted(values, k, i):
     """S_{k; i}(values): S_k with index i deleted first."""
-    vals = _checked_floats(values)
+    vals = _checked(values).ravel().tolist()
     if not (0 <= i < len(vals)):
         raise ValueError("elem_sym_deleted: index out of range")
     return _enumerated(vals[:i] + vals[i + 1:], k)
 
 
 @functools.cache
-def _omitting(n, k):
-    """Per index i, the positions in combinations(range(n), k) of the subsets without i."""
-    subsets = list(itertools.combinations(range(n), k))
-    return tuple(
-        tuple(p for p, subset in enumerate(subsets) if i not in subset) for i in range(n)
-    )
+def _sum_order(n):
+    """Per sum S_0..S_n, then S_{m; i} for i, m < n, the bitmasks of its subsets in
+    `combinations` order, padded with 2**n (a zero product) to the widest, C(n, n//2)."""
+    masks = [[sum(1 << j for j in s) for s in itertools.combinations(range(n), k)]
+             for k in range(n + 1)]
+    sums = masks + [[b for b in masks[m] if not b >> i & 1] for i in range(n) for m in range(n)]
+    return np.array([s + [2**n] * (math.comb(n, n // 2) - len(s)) for s in sums])
 
 
 def elem_sym_table(values):
-    """(e, deleted) with e[k] = S_k, k = 0..n, and deleted[i][m] = S_{m; i}, m = 0..n-1.
+    """(e, deleted) with e[..., k] = S_k, k = 0..n, and deleted[..., i, m] = S_{m; i},
+    m = 0..n-1, for each row of values, of shape (n,) or (..., n).
 
-    The enumeration oracle for a whole vector: the products of the
-    k-subsets are formed once per k, and S_{k; i} sums the subsequence of
-    them whose subsets omit i.  That subsequence is `combinations` of the
-    entries without i, tuple for tuple and in the same order, so every
-    entry equals `elem_sym` / `elem_sym_deleted` bit for bit.
+    The enumeration oracle for whole batches.  A subset's product is its
+    prefix's times its largest entry, `math.prod`'s order; S_k sums the
+    k-subsets and S_{m; i} the m-subsets without i, each left to right in
+    `combinations` order, so every entry equals `elem_sym` /
+    `elem_sym_deleted` bit for bit.
     """
-    vals = _checked_floats(values)
-    n = len(vals)
-    e = []
-    deleted = [[] for _ in range(n)]
-    for k in range(n + 1):
-        products = list(map(math.prod, itertools.combinations(vals, k)))
-        e.append(float(sum(products)))
-        if k < n:
-            for row, kept in zip(deleted, _omitting(n, k)):
-                row.append(float(sum(map(products.__getitem__, kept))))
-    return e, deleted
+    vals = _checked(values)
+    n = vals.shape[-1]
+    products = np.zeros(vals.shape[:-1] + (2**n + 1,))  # by subset bitmask, then a zero
+    products[..., 0] = 1.0
+    for j in range(n):
+        products[..., 2**j:2**(j + 1)] = products[..., :2**j] * vals[..., j:j + 1]
+    # + 0.0 gives an all-zero sum the sign of a sum that starts at 0.0
+    sums = np.cumsum(products[..., _sum_order(n)], axis=-1)[..., -1] + 0.0
+    return sums[..., :n + 1], sums[..., n + 1:].reshape(vals.shape[:-1] + (n, n))
+
+
+def _recurrence(planes, out):
+    """out[0..m] = e_0..e_m of the planes v_1..v_m (out zeroed): e_k += v e_{k-1}, k descending."""
+    out[0] = 1.0
+    for idx, v in enumerate(planes):
+        for k in range(idx + 1, 0, -1):
+            out[k] += v * out[k - 1]
+    return out
+
+
+def _deleted_planes(planes):
+    """[i, m] = e_m of the planes with plane i left out, m = 0..n-1."""
+    out = np.zeros((len(planes),) + planes.shape)
+    for i in range(len(planes)):
+        _recurrence([v for j, v in enumerate(planes) if j != i], out[i])
+    return out
 
 
 def elem_sym_all(vals):
     """e_0..e_n of the last axis; output shape (..., n+1)."""
-    vals = np.asarray(vals, dtype=float)
-    n = vals.shape[-1]
-    out = np.zeros(vals.shape[:-1] + (n + 1,))
-    out[..., 0] = 1.0
-    for idx in range(n):
-        v = vals[..., idx]
-        for k in range(idx + 1, 0, -1):
-            out[..., k] += v * out[..., k - 1]
-    return out
+    planes = np.moveaxis(np.asarray(vals, dtype=float), -1, 0)
+    return np.moveaxis(_recurrence(planes, np.zeros((len(planes) + 1,) + planes.shape[1:])), 0, -1)
 
 
 def elem_sym_deleted_all(vals):
@@ -143,10 +156,8 @@ def elem_sym_deleted_all(vals):
     every step adds nonnegative terms, so the result is forward stable at
     any spread (the downdating e_{m; i} = e_m - v_i e_{m-1; i} cancels).
     """
-    vals = np.asarray(vals, dtype=float)
-    n = vals.shape[-1]
-    kept = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=int)
-    return elem_sym_all(vals[..., kept])
+    planes = np.moveaxis(np.asarray(vals, dtype=float), -1, 0)
+    return np.moveaxis(_deleted_planes(planes), (0, 1), (-2, -1))
 
 
 def maclaurin_chain(values):
@@ -160,7 +171,7 @@ def maclaurin_chain(values):
         raise ValueError("maclaurin_chain: need a non-empty vector")
     if np.any(vals <= 0):
         raise ValueError("maclaurin_chain: entries must be positive")
-    e, _ = elem_sym_table(vals)
+    e = elem_sym_table(vals)[0].tolist()
     return tuple((e[k] / math.comb(vals.size, k)) ** (1.0 / k) for k in range(1, vals.size + 1))
 
 
@@ -270,7 +281,7 @@ def cone_margin(coeffs, t, lam):
     if not (0.0 <= t <= 1.0):
         raise ValueError("cone_margin: t must lie in [0, 1]")
     n = coeffs.n
-    _, deleted = elem_sym_table([1.0 / v for v in prof.values])
+    deleted = elem_sym_table([1.0 / v for v in prof.values])[1].tolist()
     loads = []
     for row in deleted:
         li = 0.0
@@ -288,17 +299,17 @@ def margin_field(coeffs, t, lam):
     -inf at every point with a non-positive eigenvalue (off the positive
     cone), where the loads are not evaluated.
     """
-    lam = np.asarray(lam, dtype=float)
+    planes = np.moveaxis(np.asarray(lam, dtype=float), -1, 0)
     off = None
-    if lam.min() <= 0.0:
-        off = lam.min(axis=-1) <= 0.0
-        lam = np.where(off[..., None], 1.0, lam)
+    if planes.min() <= 0.0:
+        off = planes.min(axis=0) <= 0.0
+        planes = np.where(off, 1.0, planes)
     n = coeffs.n
-    deleted = elem_sym_deleted_all(1.0 / lam)
-    load = np.zeros(lam.shape)
+    deleted = _deleted_planes(np.divide(1.0, planes, out=np.empty(planes.shape)))
+    load = np.zeros(planes.shape)
     for k, w in coeffs.weights(t):
-        load += w * deleted[..., :, n - k]
-    margin = 1.0 - load.max(axis=-1)
+        load += w * deleted[:, n - k]
+    margin = 1.0 - load.max(axis=0)
     return margin if off is None else np.where(off, -np.inf, margin)
 
 
@@ -311,7 +322,7 @@ def operator_value(coeffs, t, f_at_point, lam):
     prof = _as_profile(coeffs, lam)
     c0_term = coeffs.c0_term(t)
     n = coeffs.n
-    e, _ = elem_sym_table([1.0 / v for v in prof.values])
+    e = elem_sym_table([1.0 / v for v in prof.values])[0].tolist()
     val = 0.0
     for k, w in coeffs.weights(t):
         val += w * e[n - k]
@@ -331,7 +342,7 @@ def operator_gradient(coeffs, t, f_at_point, lam):
     prof = _as_profile(coeffs, lam)
     c0_term = coeffs.c0_term(t)
     n = coeffs.n
-    e, deleted = elem_sym_table([1.0 / v for v in prof.values])
+    e, deleted = map(np.ndarray.tolist, elem_sym_table([1.0 / v for v in prof.values]))
     grad = []
     for li, row in zip(prof.values, deleted):
         inner = 0.0
@@ -353,7 +364,7 @@ def euler_weighted_sum(coeffs, t, f_at_point, lam):
     prof = _as_profile(coeffs, lam)
     c0_term = coeffs.c0_term(t)
     n = coeffs.n
-    e, _ = elem_sym_table([1.0 / v for v in prof.values])
+    e = elem_sym_table([1.0 / v for v in prof.values])[0].tolist()
     total = 0.0
     for k, w in coeffs.weights(t):
         total += (n - k) * w * e[n - k]

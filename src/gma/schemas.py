@@ -253,4 +253,7 @@ def validate(command, subcommand, config):
     error = jsonschema.exceptions.best_match(validator.iter_errors(config))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise SchemaError(f"config invalid at {where}: {error.message}")
+        message, instance = error.message, error.instance
+        if isinstance(instance, list):  # an array by its length, not its contents
+            message = message.replace(repr(instance), f"array of length {len(instance)}")
+        raise SchemaError(f"config invalid at {where}: {message}")

@@ -293,7 +293,7 @@ _JACOBI_SWEEPS = 4
 
 
 def _jacobi_eigvals(M):
-    """Ascending eigenvalues of a symmetric 3 x 3 field of stacked components by cyclic Jacobi.
+    """Ascending eigenvalue planes of a symmetric 3 x 3 stacked-component field by cyclic Jacobi.
 
     Each rotation (p, q) zeroes a_pq with t = tan(theta) =
     sign(d) 2 a_pq / (|d| + hypot(d, 2 a_pq)), d = a_qq - a_pp (t = 0
@@ -317,11 +317,16 @@ def _jacobi_eigvals(M):
             off[q] = c * arp - s * arq
             off[p] = s * arp + c * arq
             off[r] = np.zeros_like(apq)
-    return np.sort(np.stack(diag, axis=-1), axis=-1)
+    for p, q in ((0, 1), (1, 2), (0, 1)):  # sorting network
+        diag[p], diag[q] = np.minimum(diag[p], diag[q]), np.maximum(diag[p], diag[q])
+    return np.stack(diag)
 
 
 def _eigvals(M):
     """Ascending eigenvalues, shape grid + (n,), of a field of stacked components.
+
+    The eigenvalues are n contiguous planes on a leading axis and the
+    result is a view of them, so `gma.kernel`'s batched layer reads planes.
 
     For n = 2 the closed form takes lam_max = mean + radius, which has no
     cancellation, and lam_min = det / lam_max, which keeps relative
@@ -336,15 +341,15 @@ def _eigvals(M):
     SIAM J. Matrix Anal. Appl. 13(4), 1992).
     """
     if len(M) == 1:
-        return M[0, ..., None].copy()
+        return np.moveaxis(M.copy(), 0, -1)
     if len(M) == 3:
         a, b, c = M
         mean = 0.5 * (a + c)
         radius = np.hypot(0.5 * (a - c), b)
         lam_max = mean + radius
         lam_min = np.divide(a * c - b * b, lam_max, out=mean - radius, where=lam_max > 0.0)
-        return np.stack([lam_min, lam_max], axis=-1)
-    return _jacobi_eigvals(M)
+        return np.moveaxis(np.stack([lam_min, lam_max]), 0, -1)
+    return np.moveaxis(_jacobi_eigvals(M), 0, -1)
 
 
 def form_eigenvalues(geom, omega):
@@ -515,8 +520,8 @@ def _gmres(operator, b, rtol=_GMRES_RTOL):
     after _GMRES_RESTART iterations; then the true residual b - A x is
     recomputed and tested against rtol |b|.  A cycle that does not lower
     the true residual, or _GMRES_MAXITER cycles, raise
-    LinearSolveStallError.  Returns x, the iteration count and the true
-    relative residual.
+    LinearSolveStallError.  Returns x, the argument of the last operator
+    call, the iteration count and the true relative residual.
     """
     restart = _GMRES_RESTART
     b_norm = np.linalg.norm(b)
@@ -592,16 +597,15 @@ def _newton_step(geom, lin, res, rtol):
     inverse_symbol = np.divide(-1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0)
     kernel = geom._reduced_symbols * inverse_symbol
 
-    def preconditioned(rho):
-        rho_hat = np.fft.rfftn(rho.reshape(shape))
-        return rho_hat, np.fft.irfftn(kernel * rho_hat, s=shape, axes=range(1, geom.n + 1))
-
     def operator(y):
-        rho_hat, comps = preconditioned(y)
+        nonlocal rho_hat, comps
+        rho_hat = np.fft.rfftn(y.reshape(shape))
+        comps = np.fft.irfftn(kernel * rho_hat, s=shape, axes=range(1, geom.n + 1))
         return (lin.combine(comps) - lin.slack_direction * rho_hat.flat[0].real / N).ravel()
 
+    rho_hat = comps = None
     y, iterations, linear_residual = _gmres(operator, -res.ravel(), rtol)
-    rho_hat, comps = preconditioned(y)
+    # the transforms of _gmres's last operator call, which ran on y
     dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape, axes=range(geom.n))
     return dphi, comps, float(-rho_hat.flat[0].real / N), iterations, linear_residual
 

@@ -489,6 +489,32 @@ def test_toric_check_failing_instance_exits_3(tmp_path):
     assert by_face["E"]["lhsFloat"] == pytest.approx(-5.0 / 11.0)
 
 
+def test_toric_float_fields_past_the_float_range_read_null(tmp_path):
+    from fractions import Fraction
+    from itertools import product
+
+    from gma.toric import ClassPolytopePair, RationalPolytope, check_criterion
+
+    box = [[x, y, z] for x, y, z in product((0, 10**200), repeat=3)]
+    cube = [[x, y, z] for x, y, z in product((0, 1), repeat=3)]
+    payload = {"schemaVersion": 1, "pOmega": box, "pChi": cube, "c": [1, 1]}
+    code, out, err = run_cli(["toric", "check", "--config", write_config(tmp_path, payload)])
+    assert code in (0, 3)
+    assert err == ""
+    report = json.loads(out)
+    pair = ClassPolytopePair(RationalPolytope(box), RationalPolytope(cube))
+    result = check_criterion(pair, [Fraction(1), Fraction(1)])
+    assert report["epsilonUniform"] == str(result.epsilon_uniform)
+    assert [(row["lhs"], row["ratio"]) for row in report["perFace"]] == [
+        (str(row.lhs), str(row.ratio)) for row in result.per_face
+    ]
+    assert report["epsilonUniformFloat"] == float(result.epsilon_uniform)
+    lhs_floats = [row["lhsFloat"] for row in report["perFace"]]
+    assert None in lhs_floats
+    for row, value in zip(result.per_face, lhs_floats):
+        assert value is None if abs(row.lhs) > 2**1024 else value == float(row.lhs)
+
+
 @pytest.mark.parametrize(
     "labels, bad",
     [({"9,9": "bogus", "0,-2": "typo"}, "(9, 9)"), ({"0,-2": "typo"}, "(0, -2)")],
@@ -551,8 +577,9 @@ def test_toric_vertex_list_is_capped_at_64(tmp_path):
     code, out, err = run_cli(["toric", "check", "--config", write_config(tmp_path, payload)])
     assert code == 2
     assert out == ""
-    assert err.startswith("gma: config invalid at ")
+    assert err.startswith("gma: config invalid at pOmega: ")
     assert len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
 
 
 def test_toric_integral_floats_read_as_integers(tmp_path):

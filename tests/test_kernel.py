@@ -197,8 +197,58 @@ def test_elem_sym_table_equals_the_scalar_oracles_bit_for_bit(n):
     for row in rows:
         e, deleted = elem_sym_table(row)
         assert len(e) == n + 1 and [len(d) for d in deleted] == [n] * n
-        assert e == [elem_sym(row, k) for k in range(n + 1)]
-        assert deleted == [[elem_sym_deleted(row, m, i) for m in range(n)] for i in range(n)]
+        assert e.tolist() == [elem_sym(row, k) for k in range(n + 1)]
+        assert deleted.tolist() == [
+            [elem_sym_deleted(row, m, i) for m in range(n)] for i in range(n)
+        ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_elem_sym_table_equals_its_rows_bit_for_bit(n):
+    rng = np.random.default_rng(400 + n)
+    signs = rng.choice([-1.0, 1.0], size=(12, n))
+    rows = signs * rng.uniform(0.5, 2.0, size=(12, n)) * 10.0 ** rng.uniform(-12, 12, size=(12, n))
+    rows[-2], rows[-1, 0] = -0.0, 0.0  # zero products and sums, of either sign
+    e, deleted = elem_sym_table(rows)
+    assert e.shape == (12, n + 1) and deleted.shape == (12, n, n)
+    for s, row in enumerate(rows):
+        e_row, deleted_row = elem_sym_table(row)
+        assert e[s].tobytes() == e_row.tobytes()
+        assert deleted[s].tobytes() == deleted_row.tobytes()
+        scalar = np.array([elem_sym(row, k) for k in range(n + 1)])
+        assert e_row.tobytes() == scalar.tobytes()
+        scalar = np.array([[elem_sym_deleted(row, m, i) for m in range(n)] for i in range(n)])
+        assert deleted_row.tobytes() == scalar.tobytes()
+
+
+def test_one_entry_deletes_to_the_empty_product():
+    lam = np.array([[0.5], [2.0], [-1.0]])
+    assert elem_sym_all(lam).tolist() == [[1.0, 0.5], [1.0, 2.0], [1.0, -1.0]]
+    assert elem_sym_deleted_all(lam).tolist() == [[[1.0]]] * 3
+    e, deleted = elem_sym_table(lam)
+    assert e.tolist() == elem_sym_all(lam).tolist() and deleted.tolist() == [[[1.0]]] * 3
+    coeffs = CoefficientSet(1, ())
+    assert margin_field(coeffs, 1.0, lam).tolist() == [1.0, 1.0, -np.inf]
+    assert [cone_margin(coeffs, 1.0, row).margin for row in lam[:2]] == [1.0, 1.0]
+
+
+def test_batched_layer_reads_plane_views_and_last_axis_arrays_alike():
+    coeffs = CoefficientSet(3, (0.5, 0.3))
+    rng = np.random.default_rng(11)
+    planes = 10.0 ** rng.uniform(-2.0, 2.0, size=(3, 6, 5))
+    planes[1, 0, 0], planes[2, 4, 3] = -0.5, 0.0  # two points off the cone
+    view = np.moveaxis(planes, 0, -1)
+    last_axis = np.ascontiguousarray(view)
+    assert not view.flags.c_contiguous and last_axis.flags.c_contiguous
+    for batched in (elem_sym_all, elem_sym_deleted_all, lambda v: margin_field(coeffs, 0.8, v)):
+        got, expected = batched(view), batched(last_axis)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    margins = margin_field(coeffs, 0.8, view)
+    assert margins[0, 0] == margins[4, 3] == -np.inf
+    for idx in np.ndindex(margins.shape):
+        if idx not in ((0, 0), (4, 3)):
+            report = cone_margin(coeffs, 0.8, view[idx])
+            assert abs(margins[idx] - report.margin) <= 1e-13 * max(1.0, *report.per_index_load)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

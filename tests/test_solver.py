@@ -607,6 +607,25 @@ def test_three_by_three_jacobi_matches_eigvalsh(k):
         assert np.all(np.abs(got[i] / exact - 1.0) <= 1e-13)
 
 
+def test_jacobi_sorting_network_equals_np_sort_with_ties():
+    # diagonal fields: Jacobi leaves the diagonal as it is, so only the network sorts
+    rng = np.random.default_rng(9)
+    diag = rng.choice([-1.5, 0.5, 1.0, 2.0], size=(3, 40, 7))
+    diag[:, 0] = 1.0
+    M = np.zeros((6, 40, 7))
+    M[0], M[3], M[5] = diag
+    assert solver._jacobi_eigvals(M).tobytes() == np.sort(diag, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalue_fields_are_views_of_contiguous_planes(n):
+    geom = TorusGeometry(n, (8,) * n, np.eye(n), 1.2 * np.eye(n))
+    lam = eigenvalue_field(geom, two_mode(geom.grid_shape, 0.01))
+    assert lam.shape == geom.grid_shape + (n,)
+    assert np.moveaxis(lam, -1, 0).flags.c_contiguous
+    assert np.all(np.diff(lam, axis=-1) >= 0.0)
+
+
 def _solve_3d_case(chi, amp):
     geom = TorusGeometry(3, (8, 8, 8), np.asarray(chi, dtype=float), 1.2 * np.eye(3))
     coeffs = CoefficientSet(3, (0.5, 0.3))
@@ -651,6 +670,37 @@ def test_newton_evaluates_reduced_field_once_and_eigenvalues_per_trial(monkeypat
         assert np.abs(lin.p_field - P).max() <= 1e-12 * np.abs(P).max()
         phi = solver._canonical(phi + entry["step_factor"] * dphi)
     assert np.array_equal(phi, state.phi)
+
+
+def test_newton_step_reuses_the_transforms_of_the_last_gmres_call(monkeypatch):
+    # the 128^2 solve of the benchmark's solver workload, at fixed phases
+    chi, omega0 = np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([[1.3, 0.1], [0.1, 1.1]])
+    geom = TorusGeometry(2, (128, 128), chi, omega0)
+    coeffs = CoefficientSet(2, (0.5,))
+    phi_star = trig_polynomial(geom.grid_shape, 0.0, [
+        {"amplitude": 0.3 / (4.0 * PI2), "wave": [1, 0], "phase": 0.4},
+        {"amplitude": 0.3 / (8.0 * PI2), "wave": [1, 2], "phase": 2.5},
+    ])
+    f = manufacture(geom, coeffs, phi_star).f_grid
+    counts = {"rfftn": 0, "irfftn": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    state = continuity_solve(geom, coeffs, f)
+    monkeypatch.undo()
+    assert [stage["t"] for stage in state.stages] == [0.0, 1.0]
+    steps = len(state.newton_trace)
+    iterations = sum(entry["gmres_iterations"] for entry in state.newton_trace)
+    assert (steps, iterations) == (4, 15)
+    # a transform pair per stage's reduced field and per GMRES iteration,
+    # one per step's true residual, and one irfftn per step for dphi
+    assert counts == {"rfftn": 2 + iterations + steps, "irfftn": 2 + iterations + 2 * steps}
 
 
 def test_newton_trace_records_trials_and_cone_rejections():
