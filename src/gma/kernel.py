@@ -98,11 +98,12 @@ def elem_sym_deleted(values, k, i):
 @functools.cache
 def _sum_order(n):
     """Per sum S_0..S_n, then S_{m; i} for i, m < n, the bitmasks of its subsets in
-    `combinations` order, padded with 2**n (a zero product) to the widest, C(n, n//2)."""
+    `combinations` order, padded with 2**n (a zero product) to the widest, C(n, n//2);
+    row c holds every sum's c-th subset."""
     masks = [[sum(1 << j for j in s) for s in itertools.combinations(range(n), k)]
              for k in range(n + 1)]
     sums = masks + [[b for b in masks[m] if not b >> i & 1] for i in range(n) for m in range(n)]
-    return np.array([s + [2**n] * (math.comb(n, n // 2) - len(s)) for s in sums])
+    return np.array([s + [2**n] * (math.comb(n, n // 2) - len(s)) for s in sums]).T.copy()
 
 
 def elem_sym_table(values):
@@ -111,18 +112,20 @@ def elem_sym_table(values):
 
     The enumeration oracle for whole batches.  A subset's product is its
     prefix's times its largest entry, `math.prod`'s order; S_k sums the
-    k-subsets and S_{m; i} the m-subsets without i, each left to right in
-    `combinations` order, so every entry equals `elem_sym` /
-    `elem_sym_deleted` bit for bit.
+    k-subsets and S_{m; i} the m-subsets without i, each from 0.0 left to
+    right in `combinations` order, one (sum, row) plane per position, so
+    every entry equals `elem_sym` / `elem_sym_deleted` bit for bit.
     """
     vals = _checked(values)
     n = vals.shape[-1]
-    products = np.zeros(vals.shape[:-1] + (2**n + 1,))  # by subset bitmask, then a zero
-    products[..., 0] = 1.0
+    products = np.zeros((2**n + 1,) + vals.shape[:-1])  # by subset bitmask, then a zero
+    products[0] = 1.0
     for j in range(n):
-        products[..., 2**j:2**(j + 1)] = products[..., :2**j] * vals[..., j:j + 1]
-    # + 0.0 gives an all-zero sum the sign of a sum that starts at 0.0
-    sums = np.cumsum(products[..., _sum_order(n)], axis=-1)[..., -1] + 0.0
+        products[2**j:2**(j + 1)] = products[:2**j] * vals[..., j]
+    sums = 0.0  # as `_enumerated` sums; the first add makes the array that the others fill
+    for column in _sum_order(n):
+        sums += products[column]
+    sums = np.moveaxis(sums, 0, -1)
     return sums[..., :n + 1], sums[..., n + 1:].reshape(vals.shape[:-1] + (n, n))
 
 

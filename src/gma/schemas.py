@@ -164,7 +164,7 @@ SCHEMAS = {
                 ]
             },
             "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "dtInit": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+            "dtInit": {"type": "number", "minimum": 1e-4, "maximum": 1},  # solver._DT_MIN
             "referencePhi": _TRIG,
         },
         _GEOMETRY_REQUIRED + ["f"],

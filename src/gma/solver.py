@@ -329,9 +329,10 @@ def _eigvals(M):
     result is a view of them, so `gma.kernel`'s batched layer reads planes.
 
     For n = 2 the closed form takes lam_max = mean + radius, which has no
-    cancellation, and lam_min = det / lam_max, which keeps relative
-    accuracy for nearly diagonal matrices; lam_max <= 0 (never on the
-    cone) falls back to mean - radius.
+    cancellation, and lam_min = det / lam_max, which keeps relative accuracy
+    for nearly diagonal matrices; lam_max <= 0 (never on the cone) falls
+    back to mean - radius.  A field whose largest entry is outside 2^+-500
+    is scaled by an exact power of two first, so a c - b^2 stays in range.
 
     For n = 3 a fixed count of cyclic Jacobi sweeps runs on the six unique
     entries (`_jacobi_eigvals`).  Four sweeps bring the off-diagonals below
@@ -343,12 +344,16 @@ def _eigvals(M):
     if len(M) == 1:
         return np.moveaxis(M.copy(), 0, -1)
     if len(M) == 3:
+        exponent = np.frexp(np.abs(M).max())[1]  # 0 for a field of zeros, inf or nan
+        if abs(exponent) > 500:
+            M = np.ldexp(M, -exponent)
         a, b, c = M
         mean = 0.5 * (a + c)
         radius = np.hypot(0.5 * (a - c), b)
         lam_max = mean + radius
         lam_min = np.divide(a * c - b * b, lam_max, out=mean - radius, where=lam_max > 0.0)
-        return np.moveaxis(np.stack([lam_min, lam_max]), 0, -1)
+        planes = np.stack([lam_min, lam_max])
+        return np.moveaxis(np.ldexp(planes, exponent) if abs(exponent) > 500 else planes, 0, -1)
     return np.moveaxis(_jacobi_eigvals(M), 0, -1)
 
 
@@ -841,9 +846,12 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
     dt_init (default 1, straight to t = 1); a stage whose `newton_solve`
     fails (a cone breach, a GMRES stall, the iteration cap, or a contraction
     Theta > 1/2) is retried from the last accepted stage with dt halved; dt
-    doubles after two consecutive successes, never above dt_init; dt below
-    _DT_MIN raises StepUnderflowError.
+    doubles after two consecutive successes, never above dt_init, so a path
+    that keeps succeeding takes about 1/dt_init stages; dt below _DT_MIN
+    raises StepUnderflowError, and dt_init below it is a ValueError.
     """
+    if not dt_init >= _DT_MIN:
+        raise ValueError(f"continuity_solve: dt_init must be at least {_DT_MIN:g}")
     f = _checked_grid(f_grid, geom.grid_shape, "f")
     integrals = cohomology_integrals(geom, coeffs, f)
     size = integrals.c0 + sum(c * v for c, v in zip(coeffs.c, integrals.values[1:]))
@@ -921,7 +929,8 @@ def class_path_probe(geom, coeffs, f_grid, s_list):
 
     For each scale the additive constant a_s is recomputed from the class
     integrals so the scaled instance is exactly compatible; the source
-    becomes f + a_s and the full continuity path is attempted.
+    becomes f + a_s and the full continuity path is attempted.  A scaled
+    class or source past the float range is a ValueError, not a row.
     """
     f = _checked_grid(f_grid, geom.grid_shape, "f")
     rows = []
@@ -929,9 +938,12 @@ def class_path_probe(geom, coeffs, f_grid, s_list):
         if s <= -1.0:
             raise ValueError("class_path_probe: scale 1+s must stay positive")
         geom_s = replace(geom, omega0=(1.0 + s) * geom.omega0)
-        ints = cohomology_integrals(geom_s, coeffs, f)
-        a_s = ints.defect  # shift that restores exact compatibility
-        f_s = f + a_s
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            ints = cohomology_integrals(geom_s, coeffs, f)
+            a_s = ints.defect  # shift that restores exact compatibility
+            f_s = f + a_s
+        if not (np.isfinite(ints.values).all() and np.isfinite(f_s).all()):
+            raise ValueError(f"class_path_probe: the class at s = {s:g} is not finite")
         row = {"s": s, "shift": float(a_s)}
         try:
             state = continuity_solve(geom_s, coeffs, f_s)

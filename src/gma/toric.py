@@ -2,13 +2,14 @@
 
 Classes are encoded by their moment polytopes (exact rational vertices);
 torus-invariant subvarieties correspond to proper faces of the shared
-normal fan.  Only the hull search depends on the dimension: each polytope
-derives its sorted vertices and its faces once from its vertex cones (the
-facet normals tight at a vertex), and a class pair matches its vertices by
-cone.  Each face's intersection numbers come from the volume
-polynomial of the shared fan: its lattice volume in P + jQ, j = 0..d, and
-one exact Vandermonde solve give its row of lattice-normalized mixed
-volumes, tabulated once per class pair.  The criterion value
+normal fan.  Each polytope keeps its points as integer tuples over one
+scale, the lcm of its denominators, and derives its sorted vertices and
+its faces once from its vertex cones (the facet normals tight at a vertex);
+only the hull search depends on the dimension.  A class pair matches its
+vertices by cone over one common scale D, measures each face of P + jQ,
+j = 0..d, as the integer d! Vol D^d, and one cached integer matrix d! V^-1
+of the nodes 0..d gives the face's row of lattice-normalized mixed
+volumes, each entry one exact Fraction, tabulated once.  The criterion value
 
     C(n,p) * int_V Omega^{n-p} - sum_{k=p}^{n-1} c_k C(k,p) int_V chi^{n-k} Omega^{k-p}
 
@@ -18,6 +19,7 @@ coefficients enter as ints, Fractions, or "p/q" strings).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,11 +53,16 @@ def _point(p):
     return tuple(_rat(c) for c in p)
 
 
+def _integral(vec):
+    """An int or rational vector times the lcm of its denominators."""
+    denom = math.lcm(*(c.denominator for c in vec))
+    return [c.numerator * (denom // c.denominator) for c in vec]
+
+
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    denom = math.lcm(*(c.denominator for c in vec))
-    ints = [int(c * denom) for c in vec]
-    g = math.gcd(*(abs(i) for i in ints))
+    ints = _integral(vec)
+    g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(i // g for i in ints)
@@ -82,18 +89,20 @@ def _cross(a, b):
 
 
 def _rank(vectors, dim):
-    rows = [list(v) for v in vectors]
-    rank = 0
+    """Exact rank of int or rational vectors: each cleared of denominators,
+    then fraction-free elimination, whose divisions are all exact (Bareiss,
+    Math. Comp. 22, 1968)."""
+    rows = [_integral(v) for v in vectors]
+    rank, lead = 0, 1
     for col in range(dim):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            rows[r] = [(top[col] * x - rows[r][col] * y) // lead for x, y in zip(rows[r], top)]
+        lead = top[col]
         rank += 1
     return rank
 
@@ -123,45 +132,36 @@ def _chain_2d(points):
 
 
 def _facets_3d(points):
-    """Supporting planes of the hull by exhaustive search (small inputs).
-
-    Runs on integer-rescaled coordinates for speed; one dot-product pass
-    per candidate plane covers both orientations.  Returns
-    {primitive outer normal: (offset, tight vertex tuple)}.
-    """
-    pts = sorted(set(points))
-    denom = math.lcm(*(c.denominator for p in pts for c in p))
-    ipts = [tuple(int(c * denom) for c in p) for p in pts]
+    """Supporting planes of the hull of distinct sorted integer points by
+    exhaustive search (small inputs); one dot-product pass per candidate
+    plane covers both orientations."""
     found = {}
-    for i, j, k in itertools.combinations(range(len(ipts)), 3):
-        a = ipts[i]
-        normal = _cross(_sub(ipts[j], a), _sub(ipts[k], a))
+    for i, j, k in itertools.combinations(range(len(points)), 3):
+        a = points[i]
+        normal = _cross(_sub(points[j], a), _sub(points[k], a))
         if normal == (0, 0, 0):
             continue
-        g = math.gcd(*(abs(x) for x in normal))
-        normal = tuple(x // g for x in normal)
-        neg = tuple(-x for x in normal)
+        g = math.gcd(*normal)
+        normal = nx, ny, nz = tuple(x // g for x in normal)
+        neg = (-nx, -ny, -nz)
         if normal in found and neg in found:
             continue
-        values = [_dot(normal, p) for p in ipts]
+        values = [nx * x + ny * y + nz * z for x, y, z in points]
         off = values[i]
         if normal not in found and max(values) == off:
-            found[normal] = frozenset(t for t, v in enumerate(values) if v == off)
+            found[normal] = (off, tuple(p for p, v in zip(points, values) if v == off))
         if neg not in found and min(values) == off:
-            found[neg] = frozenset(t for t, v in enumerate(values) if v == off)
-    facets = {}
-    for n, tight_idx in found.items():
-        tight = tuple(pts[t] for t in sorted(tight_idx))
-        facets[n] = (_dot(n, tight[0]), tight)
-    return facets
+            found[neg] = (-off, tuple(p for p, v in zip(points, values) if v == off))
+    return found
 
 
 def _facets(points, dim):
     """{primitive outer normal: (offset, tight points)} of the hull of a
-    full-dimensional point set: the two endpoints of a segment, the edges of
-    a polygon (each tight at its two ends), the exhaustive search in 3-D."""
+    full-dimensional set of distinct sorted integer points: the two
+    endpoints of a segment, the edges of a polygon (each tight at its two
+    ends), the exhaustive search in 3-D."""
     if dim == 1:
-        lo, hi = min(points), max(points)
+        lo, hi = points[0], points[-1]
         return {(-1,): (-lo[0], (lo,)), (1,): (hi[0], (hi,))}
     if dim == 2:
         hull, facets = _chain_2d(points), {}
@@ -175,8 +175,9 @@ def _facets(points, dim):
 class RationalPolytope:
     """Full-dimensional convex lattice-rational polytope in dimension 1-3.
 
-    Vertices may be given redundantly.  The hull search gives the facets
-    (primitive outer normals, rational offsets) and the points tight on each;
+    Vertices may be given redundantly; they are kept as integer tuples over
+    one scale, the lcm of their denominators.  The hull search gives the
+    facets (primitive outer normals, offsets) and the points tight on each;
     a point's cone is the set of normals tight at it.  The vertices are the
     points whose cone has full rank, in sorted order (in 2-D too: a consumer
     that needs the cyclic order sorts them itself).  A set A of codim normals
@@ -193,10 +194,14 @@ class RationalPolytope:
         self.dim = dim = dims.pop()
         if dim not in (1, 2, 3):
             raise ValueError("only dimensions 1, 2 and 3 are supported")
-        if _rank([_sub(p, pts[0]) for p in pts[1:]], dim) != dim:
+        self._scale = scale = math.lcm(*(c.denominator for p in pts for c in p))
+        exact = {tuple(c.numerator * (scale // c.denominator) for c in p): p for p in pts}
+        points = sorted(exact)
+        if _rank([_sub(p, points[0]) for p in points[1:]], dim) != dim:
             raise ValueError("degenerate polytope: not full-dimensional")
-        facets = _facets(pts, dim)
-        self.facets = tuple((n, off) for n, (off, _) in sorted(facets.items()))
+        facets = _facets(points, dim)
+        self._heights = {n: off for n, (off, _) in sorted(facets.items())}
+        self.facets = tuple((n, Fraction(off, scale)) for n, off in self._heights.items())
         cones = {}
         for n, (_, tight) in facets.items():
             for p in tight:
@@ -204,7 +209,8 @@ class RationalPolytope:
         self._cones = {
             p: frozenset(cone) for p, cone in sorted(cones.items()) if _rank(cone, dim) == dim
         }
-        self.vertices = tuple(self._cones)
+        self._exact = {v: exact[v] for v in self._cones}
+        self.vertices = tuple(self._exact.values())
         holders = {}
         for v, cone in self._cones.items():
             for codim in range(1, dim):
@@ -218,15 +224,15 @@ class RationalPolytope:
 
     @property
     def facet_normals(self):
-        return frozenset(n for n, _ in self.facets)
+        return frozenset(self._heights)
 
     def tight_vertices(self, direction):
-        values = [_dot(direction, v) for v in self.vertices]
+        values = [_dot(direction, v) for v in self._exact]
         h = max(values)
         return tuple(v for v, x in zip(self.vertices, values) if x == h)
 
     def edge_directions(self):
-        edges = [self.vertices] if self.dim == 1 else [
+        edges = [tuple(self._exact)] if self.dim == 1 else [
             verts for active, verts in self._faces.items() if len(active) == self.dim - 1
         ]
         out = set()
@@ -238,32 +244,25 @@ class RationalPolytope:
     def faces(self):
         """Proper faces of codimension 1..dim-1 as {tight facet-normal set:
         vertices}; the size of the set is the face's codimension."""
-        return dict(self._faces)
+        return {a: tuple(map(self._exact.get, verts)) for a, verts in self._faces.items()}
 
 
 # ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
 
-def _shoelace(hull):
-    twice = Fraction(0)
-    for i, v in enumerate(hull):
-        w = hull[(i + 1) % len(hull)]
-        twice += v[0] * w[1] - w[0] * v[1]
-    return twice / 2
+def _twice_area(hull):
+    """Twice the signed area of a polygon given by its vertices in cyclic order."""
+    return sum(v[0] * w[1] - w[0] * v[1] for v, w in zip(hull, hull[1:] + hull[:1]))
 
 
-def _projection(vec, edge):
-    """Coordinates kept by a projection that is injective on a face's span,
-    and the index [Z^m : pi(L)] of the projected direction lattice L.
-
-    vec is primitive: an edge's direction (keep its largest coordinate) or
-    a hyperplane's normal (drop its largest coordinate).  Either way the
-    index is that coordinate's absolute value, so Vol_L(F) = Vol(pi F) / index.
-    """
-    j = max(range(len(vec)), key=lambda i: abs(vec[i]))
-    keep = (j,) if edge else tuple(i for i in range(len(vec)) if i != j)
-    return keep, abs(vec[j])
+def _projection(normal):
+    """Coordinates kept by dropping the largest coordinate of a primitive
+    hyperplane normal, a projection injective on the hyperplane, and the
+    index [Z^m : pi(L)] of the hyperplane's projected lattice L: that
+    coordinate's absolute value, so Vol_L(F) = Vol(pi F) / index."""
+    j = max(range(len(normal)), key=lambda i: abs(normal[i]))
+    return tuple(i for i in range(len(normal)) if i != j), abs(normal[j])
 
 
 def _minkowski_volume(polys):
@@ -278,7 +277,7 @@ def _minkowski_volume(polys):
         pts = [(Fraction(0), Fraction(0))]
         for p in polys:
             pts = [_add(a, v) for a in pts for v in p.vertices]
-        return _shoelace(_chain_2d(pts))
+        return _twice_area(_chain_2d(pts)) / 2
     candidates = set()
     for p in polys:
         for n, _ in p.facets:
@@ -298,12 +297,12 @@ def _minkowski_volume(polys):
         pts = [(Fraction(0),) * 3]
         for tight in [p.tight_vertices(n) for p in polys]:
             pts = [_add(a, v) for a in pts for v in tight]
-        keep, index = _projection(n, edge=False)
+        keep, index = _projection(n)
         flat = sorted({tuple(q[i] for i in keep) for q in pts})
         if len(flat) < 3 or _rank([_sub(f, flat[0]) for f in flat[1:]], 2) < 2:
             continue
         # signed pyramid, apex at the origin: lattice height n.p times lattice area / 3
-        total += _dot(n, pts[0]) * _shoelace(_chain_2d(flat)) / (3 * index)
+        total += _dot(n, pts[0]) * _twice_area(_chain_2d(flat)) / (6 * index)
     return total
 
 
@@ -343,41 +342,43 @@ def mixed_volume(polys):
 # shared-fan class pairs, every face's row tabulated once
 # ---------------------------------------------------------------------------
 
-def _polynomial_coefficients(values):
-    """Exact coefficients c_0..c_d of the polynomial sum_b c_b j^b that takes
-    values[j] at j = 0..d.  Gauss-Jordan on the Vandermonde matrix needs no
-    pivoting: its leading minors are Vandermonde determinants of 0..k."""
-    d = len(values) - 1
-    rows = [[Fraction(j) ** b for b in range(d + 1)] + [v] for j, v in enumerate(values)]
-    for col, pivot in enumerate(rows):
-        lead = pivot[col]
-        pivot[:] = [x / lead for x in pivot]
-        for row in rows:
-            if row is not pivot and row[col]:
-                factor = row[col]
-                row[:] = [x - factor * y for x, y in zip(row, pivot)]
-    return [row[-1] for row in rows]
+@functools.cache
+def _interpolation(d):
+    """Rows b = 0..d of d! V^-1, where V[j][b] = j^b on the nodes j = 0..d.
+    Column i is d! times node i's Lagrange polynomial, which is
+    (-1)^(d-i) C(d, i) prod_{k != i} (x - k), so every entry is an integer."""
+    columns = []
+    for i in range(d + 1):
+        poly = [(-1) ** (d - i) * math.comb(d, i)]
+        for k in range(d + 1):
+            if k != i:
+                poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
+        columns.append(poly)
+    return tuple(zip(*columns))
 
 
-def _face_volume(vertices, active):
-    """Lattice volume of the edge or 2-face with the given vertices and tight
-    facet-normal set: a lattice length, or the area projected along the
-    facet normal, each divided by the projection's lattice index."""
-    if len(vertices[0]) - len(active) == 1:
-        v, w = vertices
-        (i,), index = _projection(_primitive(_sub(w, v)), edge=True)
-        return abs(w[i] - v[i]) / index
-    keep, index = _projection(next(iter(active)), edge=False)
-    return _shoelace(_chain_2d([tuple(v[i] for i in keep) for v in vertices])) / index
+def _face_measure(points, active):
+    """d! Vol(F) D^d for the edge or 2-face F with the given vertices, integers
+    over the scale D, and tight facet-normal set: an edge's lattice length is
+    the gcd of its difference vector, and a 2-face's twice-area projected
+    along the facet normal divides exactly by the projection's lattice index."""
+    if len(points[0]) - len(active) == 1:
+        v, w = points
+        return math.gcd(*_sub(w, v))
+    keep, index = _projection(next(iter(active)))
+    return _twice_area(_chain_2d([tuple(p[i] for i in keep) for p in points])) // index
 
 
-def _intersection_row(volumes):
+def _intersection_row(measures, scale):
     """(I(d, 0), I(d-1, 1), ..., I(0, d)) of a d-dimensional face pair with a
-    shared normal fan, from the lattice volumes of the face of P + jQ at
-    j = 0..d: Vol(P + jQ) = sum_b C(d, b) MV(P^(d-b), Q^b) j^b and
-    I(d-b, b) = d! MV(P^(d-b), Q^b)."""
-    d, coeffs = len(volumes) - 1, _polynomial_coefficients(volumes)
-    return tuple(math.factorial(d) * c / math.comb(d, b) for b, c in enumerate(coeffs))
+    shared normal fan, from its measures M(j) = d! Vol(P + jQ) D^d at
+    j = 0..d over the scale D: Vol(P + jQ) = sum_b C(d, b) MV(P^(d-b), Q^b) j^b
+    and I(d-b, b) = d! MV(P^(d-b), Q^b), so d! V^-1 M = d! C(d, b) D^d I(d-b, b)."""
+    d = len(measures) - 1
+    return tuple(
+        Fraction(_dot(row, measures), math.factorial(d) * math.comb(d, b) * scale**d)
+        for b, row in enumerate(_interpolation(d))
+    )
 
 
 @dataclass(frozen=True)
@@ -387,50 +388,54 @@ class ClassPolytopePair:
     correspond one-to-one.  face_labels optionally names codim-1 faces by
     their outer normal; a key that is not a facet normal is a ValueError.
 
-    Vertices are matched once, by their tight facet-normal sets, and every
-    face's lattice volume in P + jQ is read from them.  _table maps the
-    active normal set (None for the whole space) to the face's row of
-    intersection numbers I(d, 0), I(d-1, 1), ..., I(0, d), where d is the
-    face's dimension and I(a, b) is int_V Omega^a chi^b."""
+    Vertices are matched once, by their tight facet-normal sets, over one
+    common scale, and every face's integer measure in P + jQ is read from
+    them.  _table maps the active normal set (None for the whole space) to
+    the face's row of intersection numbers I(d, 0), I(d-1, 1), ..., I(0, d),
+    where d is the face's dimension and I(a, b) is int_V Omega^a chi^b."""
 
     p_omega: RationalPolytope
     p_chi: RationalPolytope
     face_labels: dict = None
 
     def __post_init__(self):
-        if self.p_omega.dim != self.p_chi.dim:
+        omega, chi = self.p_omega, self.p_chi
+        if omega.dim != chi.dim:
             raise FanMismatchError("polytopes have different dimensions")
-        if self.p_omega.facet_normals != self.p_chi.facet_normals:
+        if omega._heights.keys() != chi._heights.keys():
             raise FanMismatchError("facet normal sets differ")
-        omega_faces, chi_faces = self.p_omega.faces(), self.p_chi.faces()
-        differing = omega_faces.keys() ^ chi_faces.keys()
+        differing = omega._faces.keys() ^ chi._faces.keys()
         if differing:
             raise FanMismatchError(
                 f"face incidences differ at codimension {min(map(len, differing))}"
             )
         labels = {}
         for normal, label in (self.face_labels or {}).items():
-            if tuple(normal) not in self.p_omega.facet_normals:
+            if tuple(normal) not in omega._heights:
                 raise ValueError(f"faceLabels: {tuple(normal)} is not a facet normal")
             labels[frozenset({tuple(normal)})] = label
-        n, chi_heights = self.n, dict(self.p_chi.facets)
-        chi_vertex = {cone: w for w, cone in self.p_chi._cones.items()}
-        partner = {v: chi_vertex[cone] for v, cone in self.p_omega._cones.items()}
-        volumes = {  # the face of P + jQ has the vertices v + j w; facets also serve j = n
+        n, scale = self.n, math.lcm(omega._scale, chi._scale)
+        to_omega, to_chi = scale // omega._scale, scale // chi._scale
+        chi_vertex = {cone: w for w, cone in chi._cones.items()}
+        partner = {  # v and its chi partner w over the common scale
+            v: tuple(zip((to_omega * x for x in v), (to_chi * y for y in chi_vertex[cone])))
+            for v, cone in omega._cones.items()
+        }
+        measures = {  # the face of P + jQ has the vertices v + j w; facets also serve j = n
             active: [
-                _face_volume([_add(v, tuple(j * y for y in partner[v])) for v in verts], active)
+                _face_measure([tuple(x + j * y for x, y in partner[v]) for v in verts], active)
                 for j in range(n + 1 if len(active) == 1 else n - len(active) + 1)
             ]
-            for active, verts in omega_faces.items()
+            for active, verts in omega._faces.items()
         }
-        # Vol(P + jQ) by pyramids over its facets, apex at the origin (1-D facets are points)
+        # n! Vol(P + jQ) D^n by pyramids over its facets, apex at the origin (1-D: points)
+        heights = [(u, to_omega * h, to_chi * chi._heights[u]) for u, h in omega._heights.items()]
         whole = [
-            sum((h + j * chi_heights[u]) * (volumes[frozenset({u})][j] if n > 1 else 1)
-                for u, h in self.p_omega.facets) / n
+            sum((h + j * k) * (measures[frozenset({u})][j] if n > 1 else 1) for u, h, k in heights)
             for j in range(n + 1)
         ]
-        table = {None: _intersection_row(whole)}  # faces() come by codimension, then normals
-        table.update((a, _intersection_row(vol[: n - len(a) + 1])) for a, vol in volumes.items())
+        table = {None: _intersection_row(whole, scale)}  # faces come by codimension, then normals
+        table.update((a, _intersection_row(m[:n + 1 - len(a)], scale)) for a, m in measures.items())
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_table", table)
 

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import jsonschema
 import numpy as np
@@ -420,6 +421,28 @@ def test_cli_passes_only_the_options_the_config_sets(tmp_path, monkeypatch):
         assert all(type(value) is float for value in calls[0].values())
 
 
+def test_dt_init_below_the_step_floor_exits_2_at_once(tmp_path):
+    from gma.solver import _DT_MIN
+
+    assert SCHEMAS[("solve", "run")]["properties"]["dtInit"]["minimum"] == _DT_MIN
+    cfg = write_config(tmp_path, solve_config(dtInit=1e-9))
+    start = time.perf_counter()
+    code, out, err = run_cli(["solve", "run", "--config", cfg])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "gma: config invalid at dtInit: 1e-09 is less than the minimum of 0.0001\n"
+
+
+def test_solve_classpath_with_a_non_finite_class_exits_2(tmp_path):
+    # the scaled class overflows: no verdict, one named failure
+    cfg = write_config(tmp_path, {**CLASSPATH_CONFIG, "sList": [0.0, 1e300]})
+    code, out, err = run_cli(["solve", "classpath", "--config", cfg])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert all(line.startswith("gma: ") for line in lines)
+    assert lines[-1] == "gma: class_path_probe: the class at s = 1e+300 is not finite"
+
+
 def test_solve_classpath_json_and_csv(tmp_path):
     cfg = write_config(tmp_path, CLASSPATH_CONFIG)
     code, out, err = run_cli(["solve", "classpath", "--config", cfg])
@@ -513,6 +536,20 @@ def test_toric_float_fields_past_the_float_range_read_null(tmp_path):
     assert None in lhs_floats
     for row, value in zip(result.per_face, lhs_floats):
         assert value is None if abs(row.lhs) > 2**1024 else value == float(row.lhs)
+
+
+def test_toric_tetrahedra_at_10_to_the_200_report_without_a_traceback(tmp_path):
+    # a shared-fan pair with facet normals of 10^400 size; exact ranks need no float
+    big = 10**200
+    tetra = [[0, 0, 0], [big, 1, 0], [0, big, 1], [1, 0, big]]
+    payload = {"schemaVersion": 1, "pOmega": tetra, "pChi": [[2 * x for x in v] for v in tetra],
+               "c": [1, 1]}
+    code, out, err = run_cli(["toric", "check", "--config", write_config(tmp_path, payload)])
+    assert code in (0, 3)
+    assert all(line.startswith("gma: ") for line in err.splitlines())
+    report = json.loads(out)
+    assert len(report["perFace"]) == 10
+    assert report["compatibilityValue"] == str(-5 * big**3 - 5)
 
 
 @pytest.mark.parametrize(

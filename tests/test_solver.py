@@ -626,6 +626,23 @@ def test_eigenvalue_fields_are_views_of_contiguous_planes(n):
     assert np.all(np.diff(lam, axis=-1) >= 0.0)
 
 
+@pytest.mark.parametrize("k", [500, -500, 540, -540, 600, -600])
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigvals_commute_with_power_of_two_scaling(n, k):
+    rng = np.random.default_rng(70 + n)
+    A = rng.normal(size=(6, 5, n, n))
+    M = solver._components(A @ np.swapaxes(A, -1, -2) + n * np.eye(n))
+    assert solver._eigvals(np.ldexp(M, k)).tobytes() == np.ldexp(solver._eigvals(M), k).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_two_dimensional_eigenvalues_of_extreme_classes(scale):
+    # a c - b^2 alone would overflow to inf, or underflow to subnormals
+    geom = geom2(8, np.eye(2), np.diag([scale, 2.0 * scale]))
+    lam = eigenvalue_field(geom, np.zeros(geom.grid_shape))
+    assert np.all(np.abs(lam / [scale, 2.0 * scale] - 1.0) <= 1e-15)
+
+
 def _solve_3d_case(chi, amp):
     geom = TorusGeometry(3, (8, 8, 8), np.asarray(chi, dtype=float), 1.2 * np.eye(3))
     coeffs = CoefficientSet(3, (0.5, 0.3))
@@ -1068,6 +1085,27 @@ def test_class_path_probe_reports_upward_closed_solvability():
     assert report.rows[0]["error"] == "StepUnderflowError"
     assert report.rows[2]["min_cone_margin"] > 0.0
     assert report.upward_closed
+
+
+def test_class_path_probe_raises_on_a_non_finite_class_and_keeps_source_verdicts():
+    geom = geom2(16, np.eye(2), 0.45 * np.eye(2))
+    f = np.zeros(geom.grid_shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for s in (1e155, 1e300):
+            with pytest.raises(ValueError, match="is not finite"):
+                class_path_probe(geom, CoefficientSet(2, (1.0,)), f, [0.0, s])
+    # with all c_k = 0 a source that is not positive is a verdict, not a failure
+    f = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 3.0, "wave": (1, 0)}])
+    report = class_path_probe(geom, CoefficientSet(2, (0.0,)), f, [0.0])
+    assert report.rows[0]["solvable"] is False
+    assert report.rows[0]["error"] == "ValueError"
+
+
+def test_continuity_solve_rejects_dt_init_below_the_step_floor():
+    geom = geom2(16)
+    with pytest.raises(ValueError, match="dt_init must be at least 0.0001"):
+        continuity_solve(geom, CoefficientSet(2, (1.0,)), np.zeros(geom.grid_shape), dt_init=1e-9)
 
 
 def test_class_path_probe_keeps_the_geometry_scheme():

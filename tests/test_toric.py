@@ -553,3 +553,77 @@ def test_one_dimensional_pair_is_rejected():
     pair = ClassPolytopePair(RationalPolytope([(0,), (2,)]), RationalPolytope([(0,), (1,)]))
     with pytest.raises(ValueError, match="1-D pair has no proper positive-dimensional faces"):
         check_criterion(pair, [])
+
+
+def test_face_table_makes_one_fraction_per_entry():
+    # the table runs on integers; each entry is one Fraction(int, int), made last
+    import cProfile
+    import fractions
+    import pstats
+
+    omega, chi = _box([3, 2, 5]), _box([1, 2, 1])
+    profile = cProfile.Profile()
+    profile.enable()
+    pair = ClassPolytopePair(omega, chi)
+    profile.disable()
+    made = sum(
+        calls for (path, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if path == fractions.__file__
+    )
+    rows = [None] + pair.faces()
+    entries = sum(pair.n - (0 if key is None else len(key)) + 1 for key in rows)
+    assert (len(rows), entries) == (19, 46)
+    assert made == entries
+
+
+def test_rank_is_exact_on_dependent_big_integer_triples():
+    # float elimination called 159 of these 200 dependent triples independent
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        a, b = ([int(d) for d in rng.integers(10**12, 10**13, 3)] for _ in range(2))
+        a, b = [x * 10**27 + 1 for x in a], [x * 10**27 - 7 for x in b]
+        c = [3 * x - 7 * y for x, y in zip(a, b)]
+        assert toric._rank([a, b, c], 3) == 2
+        assert toric._rank([[F(x, 3) for x in a], b, [F(z, 5) for z in c]], 3) == 2
+        assert toric._rank([a, b, [x + 1 for x in c]], 3) == 3
+    assert toric._rank([], 3) == 0
+    assert toric._rank([(0, 0, 0), (0, 2, 0), (0, 5, 0)], 3) == 1
+
+
+def _rational_points(rng, count, dim, big):
+    """Seeded points p/q with |p| < 12 and q <= 6; with big, each coordinate
+    also carries a multiple of 10^29 or a 10^30 offset."""
+    pts = []
+    for _ in range(count):
+        p = []
+        for _ in range(dim):
+            c = F(int(rng.integers(-11, 12)), int(rng.integers(1, 7)))
+            if big:
+                c = c * 10**29 + 10**30 if rng.random() < 0.5 else c + 10**30
+            p.append(c)
+        pts.append(tuple(p))
+    return pts
+
+
+def _random_rational_pair(rng, dim, big):
+    while True:
+        try:
+            a, b = (_rational_points(rng, 4, dim, big) for _ in range(2))
+            return ClassPolytopePair(*_sum_pair(a, b))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "dim, count, seed", [(2, 20, 23), (3, 4, 29)], ids=["2d", "3d"],
+)
+def test_intersection_numbers_match_mixed_volume_oracle_on_rational_sums(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        pair = _random_rational_pair(rng, dim, big=case % 2 == 1)
+        for key in [None] + pair.faces():
+            po, pc, index = _face_polytopes(pair, key)
+            d = po.dim
+            for b in range(d + 1):
+                value = intersection_number(pair, key, d - b, b)
+                assert value == math.factorial(d) * mixed_volume([po] * (d - b) + [pc] * b) / index
