@@ -80,7 +80,13 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, Fraction):
-        return str(obj)  # "p/q", or "p" when q = 1
+        try:
+            return str(obj)  # "p/q", or "p" when q = 1
+        except ValueError:  # past the interpreter's int-to-decimal digit limit
+            raise ValueError(
+                f"an exact rational of the report has more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
@@ -531,6 +537,7 @@ def main(argv=None):
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
             report, artifacts, code = _HANDLERS[key](config, args, config_path.parent)
+        report = {"schemaVersion": SCHEMA_VERSION, **_sanitize(report)}
     except (SchemaError, FanMismatchError, ValueError, TypeError) as exc:
         print(f"gma: {exc}", file=sys.stderr)
         return 2
@@ -549,7 +556,6 @@ def main(argv=None):
             _write_outputs(args.out, rendered, {}, time.perf_counter() - started)
         return 1
 
-    report = {"schemaVersion": SCHEMA_VERSION, **_sanitize(report)}
     rendered_json = _render_json(report)
     if args.format == "csv":
         print(_render_csv(key, report))

@@ -129,20 +129,31 @@ def elem_sym_table(values):
     return sums[..., :n + 1], sums[..., n + 1:].reshape(vals.shape[:-1] + (n, n))
 
 
-def _recurrence(planes, out):
-    """out[0..m] = e_0..e_m of the planes v_1..v_m (out zeroed): e_k += v e_{k-1}, k descending."""
+def _recurrence(planes, out, count=0):
+    """out[0..m] = e_0..e_m of count earlier planes, whose e_1..e_count out
+    already holds (zeroed beyond), and the planes v_1..v_{m-count}.
+
+    Each plane is one slice update e_k += v e_{k-1}, k = 1..: every product
+    reads the old e_{k-1}, as the descending-k loop does, bit for bit."""
     out[0] = 1.0
-    for idx, v in enumerate(planes):
-        for k in range(idx + 1, 0, -1):
-            out[k] += v * out[k - 1]
+    for idx, v in enumerate(planes, start=count):
+        out[1:idx + 2] += v * out[:idx + 1]
     return out
 
 
 def _deleted_planes(planes):
-    """[i, m] = e_m of the planes with plane i left out, m = 0..n-1."""
-    out = np.zeros((len(planes),) + planes.shape)
-    for i in range(len(planes)):
-        _recurrence([v for j, v in enumerate(planes) if j != i], out[i])
+    """[i, m] = e_m of the planes with plane i left out, m = 0..n-1.
+
+    Row i continues the shared prefix state e(v_0 .. v_{i-1}) with the planes
+    after i, so each row does the arithmetic of its own recurrence."""
+    n = len(planes)
+    out = np.zeros((n,) + planes.shape)
+    prefix = np.zeros(planes.shape)
+    for i in range(n):
+        out[i, :i + 1] = prefix[:i + 1]
+        _recurrence(planes[i + 1:], out[i], i)
+        if i + 1 < n:
+            _recurrence(planes[i:i + 1], prefix, i)
     return out
 
 

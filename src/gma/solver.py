@@ -32,6 +32,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,7 +243,10 @@ def trig_polynomial(grid_shape, constant=0.0, terms=()):
     out = np.full(shape, float(constant))
     for term in terms:
         amp = float(term["amplitude"])
-        wave = tuple(int(w) for w in term["wave"])
+        try:
+            wave = tuple(float(int(w)) for w in term["wave"])
+        except OverflowError:
+            raise ValueError("trig_polynomial: wave entries must lie in the float range") from None
         phase = float(term.get("phase", 0.0))
         if len(wave) != len(shape):
             raise ValueError("trig_polynomial: wave length must match dimension")
@@ -332,7 +336,9 @@ def _eigvals(M):
     cancellation, and lam_min = det / lam_max, which keeps relative accuracy
     for nearly diagonal matrices; lam_max <= 0 (never on the cone) falls
     back to mean - radius.  A field whose largest entry is outside 2^+-500
-    is scaled by an exact power of two first, so a c - b^2 stays in range.
+    is scaled first, each point by the exact power of two of its own largest
+    entry, so a c - b^2 stays in range at every point; a field inside that
+    range is not scaled.
 
     For n = 3 a fixed count of cyclic Jacobi sweeps runs on the six unique
     entries (`_jacobi_eigvals`).  Four sweeps bring the off-diagonals below
@@ -344,8 +350,9 @@ def _eigvals(M):
     if len(M) == 1:
         return np.moveaxis(M.copy(), 0, -1)
     if len(M) == 3:
-        exponent = np.frexp(np.abs(M).max())[1]  # 0 for a field of zeros, inf or nan
-        if abs(exponent) > 500:
+        scaled = abs(np.frexp(np.abs(M).max())[1]) > 500  # exponent 0 for zeros, inf or nan
+        if scaled:
+            exponent = np.frexp(np.abs(M).max(axis=0))[1]
             M = np.ldexp(M, -exponent)
         a, b, c = M
         mean = 0.5 * (a + c)
@@ -353,7 +360,7 @@ def _eigvals(M):
         lam_max = mean + radius
         lam_min = np.divide(a * c - b * b, lam_max, out=mean - radius, where=lam_max > 0.0)
         planes = np.stack([lam_min, lam_max])
-        return np.moveaxis(np.ldexp(planes, exponent) if abs(exponent) > 500 else planes, 0, -1)
+        return np.moveaxis(np.ldexp(planes, exponent) if scaled else planes, 0, -1)
     return np.moveaxis(_jacobi_eigvals(M), 0, -1)
 
 
@@ -577,6 +584,21 @@ def _gmres(operator, b, rtol=_GMRES_RTOL):
     )
 
 
+def _inverse_transform(spectrum, scratch, out):
+    """out = irfftn(spectrum) over every axis but the leading stacking axis.
+
+    irfftn's own passes in its order: a complex ifft over each full axis,
+    ascending, then the real irfft over the halved last axis.  The passes
+    alternate between spectrum and scratch, both overwritten, and the last
+    writes into out, so the result equals `np.fft.irfftn` bit for bit and
+    no pass allocates.
+    """
+    for axis in range(1, spectrum.ndim - 1):
+        np.fft.ifft(spectrum, axis=axis, out=scratch)
+        spectrum, scratch = scratch, spectrum
+    return np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
+
+
 def _newton_step(geom, lin, res, rtol):
     """Solve J (dphi, ds) = -res, mean(dphi) = 0, to the relative tolerance
     rtol the caller supplies.
@@ -588,9 +610,11 @@ def _newton_step(geom, lin, res, rtol):
 
         J B^{-1} rho = sum_p w_p F^{-1}(sym_p inverse_symbol rho_hat) + mean(rho)
 
-    costs one rfftn and one batched irfftn per iteration.  Returns dphi, the
+    costs one rfftn and one batched inverse transform per iteration, run by
+    `_inverse_transform` in buffers made once per step.  Returns dphi, the
     reduced step dM = L^{-1} (1/4) Hess(dphi) L^{-T} read off the same
-    spectrum, ds, the GMRES iterations and the true relative residual.
+    spectrum (the component buffer itself), ds, the GMRES iterations and
+    the true relative residual.
     """
     N = geom.npoints
     shape = geom.grid_shape
@@ -601,14 +625,15 @@ def _newton_step(geom, lin, res, rtol):
         )
     inverse_symbol = np.divide(-1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0)
     kernel = geom._reduced_symbols * inverse_symbol
+    rho_hat = np.empty(kernel.shape[1:], complex)
+    spectra = (np.empty(kernel.shape, complex), np.empty(kernel.shape, complex))
+    comps = np.empty(kernel.shape[:1] + shape)
 
     def operator(y):
-        nonlocal rho_hat, comps
-        rho_hat = np.fft.rfftn(y.reshape(shape))
-        comps = np.fft.irfftn(kernel * rho_hat, s=shape, axes=range(1, geom.n + 1))
+        np.fft.rfftn(y.reshape(shape), out=rho_hat)
+        _inverse_transform(np.multiply(kernel, rho_hat, out=spectra[0]), spectra[1], comps)
         return (lin.combine(comps) - lin.slack_direction * rho_hat.flat[0].real / N).ravel()
 
-    rho_hat = comps = None
     y, iterations, linear_residual = _gmres(operator, -res.ravel(), rtol)
     # the transforms of _gmres's last operator call, which ran on y
     dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape, axes=range(geom.n))
@@ -628,6 +653,32 @@ class SolveState:
 
 
 _DAMPING = tuple(2.0**-j for j in range(21))
+
+
+class _Start(NamedTuple):
+    """Where a Newton solve starts: a canonical phi, its reduced field M and M's eigenvalues."""
+
+    phi: np.ndarray
+    reduced: np.ndarray
+    lam: np.ndarray
+
+    @classmethod
+    def at(cls, geom, phi):
+        reduced = _reduced_field(geom, phi)
+        return cls(phi, reduced, _eigvals(reduced))
+
+    @classmethod
+    def background(cls, geom):
+        """The start at phi = 0: the reduced background M0 and its eigenvalues
+        at one point, broadcast to the grid as read-only views.
+
+        The Hessian of phi = 0 is a field of signed zeros, so these carry the
+        values `at` gives at every grid point.
+        """
+        grid, M0 = geom.grid_shape, geom._reduced_omega0
+        lam0 = _eigvals(M0)
+        return cls(np.zeros(grid), np.broadcast_to(M0, M0.shape[:1] + grid),
+                   np.broadcast_to(lam0, grid + lam0.shape[-1:]))
 
 
 def newton_solve(
@@ -666,14 +717,18 @@ def newton_solve(
     step, the accepted damping factor, the line-search trials, how many of
     them left the cone, the GMRES iterations of the step, the true
     relative residual GMRES reached and the forcing term it was given.
+
+    `continuity_solve` passes phi0 as a `_Start`, the canonical potential of
+    a stage with its reduced field and eigenvalues, evaluated once per stage
+    and read by every attempt from it.
     """
     f = _checked_grid(f_grid, geom.grid_shape, "f")
-    phi = (
-        np.zeros(geom.grid_shape) if phi0 is None else _canonical(phi0, geom.grid_shape)
-    )
+    if not isinstance(phi0, _Start):
+        phi0 = _Start.at(
+            geom, np.zeros(geom.grid_shape) if phi0 is None else _canonical(phi0, geom.grid_shape)
+        )
+    phi, reduced, lam = phi0  # read, never written: other attempts share them
     slack = float(slack0)
-    reduced = _reduced_field(geom, phi)
-    lam = _eigvals(reduced)
     margin = margin_field(coeffs, t, lam)
     if margin.min() <= 0.0:
         raise ConeBreachError(
@@ -833,6 +888,20 @@ def _validate_source_regime(coeffs, f, class_ratio):
 
 _COMPAT_TOL = 1e-8
 _DT_MIN = 1e-4
+# the path stops once a failed attempt has stepped past the predicted crossing
+# and that crossing lies within _CROSSING_TOL of the last accepted stage
+_CROSSING_TOL = 1e-3
+
+
+def _predicted_crossing(stages):
+    """Where the secant of the minimum cone margin through the last two
+    accepted stages reaches zero, or None unless that margin is falling."""
+    if len(stages) < 2:
+        return None
+    (t0, m0), (t1, m1) = ((s["t"], s["min_cone_margin"]) for s in stages[-2:])
+    if not m1 < m0:
+        return None
+    return t1 + m1 * (t1 - t0) / (m0 - m1)
 
 
 def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
@@ -849,11 +918,32 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
     doubles after two consecutive successes, never above dt_init, so a path
     that keeps succeeding takes about 1/dt_init stages; dt below _DT_MIN
     raises StepUnderflowError, and dt_init below it is a ValueError.
+
+    A path that fails because its solution branch leaves the cone stops at
+    the predicted crossing instead of halving dt toward it, the
+    boundary-crossing analogue of turning-point detection (Allgower and
+    Georg, Introduction to Numerical Continuation Methods, 2003, ch. 9).
+    After a failed attempt at t_try, the secant of the minimum cone margin
+    through the last two accepted stages (t_{k-1}, m_{k-1}), (t_k, m_k),
+    where m_k < m_{k-1}, reaches zero at
+        t* = t_k + m_k (t_k - t_{k-1}) / (m_{k-1} - m_k);
+    when t* <= t_try and t* - t_k <= _CROSSING_TOL the path raises
+    StepUnderflowError naming t* and m_k.  The rule needs the margins of
+    accepted stages to predict a zero within _CROSSING_TOL of the last one,
+    so a Newton failure away from the cone boundary still halves dt.
+
+    Each stage's potential, reduced field and eigenvalues are evaluated
+    once, by the first attempt from it, and every retry reuses them; the
+    t = 0 stage is the constant background, whose field is evaluated at one
+    point.
     """
     if not dt_init >= _DT_MIN:
         raise ValueError(f"continuity_solve: dt_init must be at least {_DT_MIN:g}")
     f = _checked_grid(f_grid, geom.grid_shape, "f")
-    integrals = cohomology_integrals(geom, coeffs, f)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        integrals = cohomology_integrals(geom, coeffs, f)
+    if not np.isfinite(integrals.values + (integrals.defect,)).all():
+        raise ValueError("continuity_solve: the class integrals are not finite")
     size = integrals.c0 + sum(c * v for c, v in zip(coeffs.c, integrals.values[1:]))
     bound = max(_COMPAT_TOL, _ROUNDING_FACTOR * np.finfo(float).eps * (size + np.abs(f).max()))
     if abs(integrals.defect) > bound:
@@ -873,18 +963,28 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
             "newton_iterations": len(st.newton_trace),
         }
 
-    state = newton_solve(geom, coeffs, f, 0.0, tol=tol)
+    start = _Start.background(geom)
+    state = newton_solve(geom, coeffs, f, 0.0, phi0=start, tol=tol)
     stages = [stage_record(0.0, state)]
     t = 0.0
     dt = dt_init
     streak = 0
     while t < 1.0:
         t_try = min(t + dt, 1.0)
+        if start is None:  # the first attempt from a stage evaluates its start
+            start = _Start.at(geom, _canonical(state.phi))
         try:
             trial = newton_solve(
-                geom, coeffs, f, t_try, phi0=state.phi, slack0=state.slack, tol=tol
+                geom, coeffs, f, t_try, phi0=start, slack0=state.slack, tol=tol
             )
         except (ConeBreachError, MaxIterationsError, LinearSolveStallError):
+            crossing = _predicted_crossing(stages)
+            if crossing is not None and crossing <= t_try and crossing - t <= _CROSSING_TOL:
+                raise StepUnderflowError(
+                    f"continuity_solve: the path leaves the cone at t* = {crossing:.6f}, "
+                    f"predicted from the margin {stages[-1]['min_cone_margin']:.3e} "
+                    f"at t = {t:.6f}"
+                )
             dt *= 0.5
             streak = 0
             if dt < _DT_MIN:
@@ -894,6 +994,7 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
             continue
         state = trial
         t = t_try
+        start = None
         stages.append(stage_record(t, state))
         streak += 1
         if streak >= 2:
@@ -930,10 +1031,11 @@ def class_path_probe(geom, coeffs, f_grid, s_list):
     For each scale the additive constant a_s is recomputed from the class
     integrals so the scaled instance is exactly compatible; the source
     becomes f + a_s and the full continuity path is attempted.  A scaled
-    class or source past the float range is a ValueError, not a row.
+    class or source past the float range is a ValueError, not a row; every
+    scale is checked before the first path runs.
     """
     f = _checked_grid(f_grid, geom.grid_shape, "f")
-    rows = []
+    instances = []
     for s in sorted(float(s) for s in s_list):
         if s <= -1.0:
             raise ValueError("class_path_probe: scale 1+s must stay positive")
@@ -944,9 +1046,12 @@ def class_path_probe(geom, coeffs, f_grid, s_list):
             f_s = f + a_s
         if not (np.isfinite(ints.values).all() and np.isfinite(f_s).all()):
             raise ValueError(f"class_path_probe: the class at s = {s:g} is not finite")
+        instances.append((s, a_s, geom_s))
+    rows = []
+    for s, a_s, geom_s in instances:
         row = {"s": s, "shift": float(a_s)}
         try:
-            state = continuity_solve(geom_s, coeffs, f_s)
+            state = continuity_solve(geom_s, coeffs, f + a_s)
             row.update(
                 solvable=True,
                 min_cone_margin=state.min_cone_margin,

@@ -6,10 +6,12 @@ part in the comparison.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
 import time
+import warnings
 
 import jsonschema
 import numpy as np
@@ -806,6 +808,127 @@ def test_report_key_sets(tmp_path, command, config, exit_code, keys):
             objects = [report[path]]
         for obj in objects:
             assert sorted(obj) == expected, path
+
+
+# ---------------------------------------------------------------------------
+# schema edges: every subcommand ends fast with one named outcome
+# ---------------------------------------------------------------------------
+
+TINY, HUGE = 5e-324, 1e300  # the smallest positive double; far past any class
+# a 4 300-digit numerator, the longest integer the interpreter converts from text
+BIG_RATIONAL = "1" + "0" * 4299 + "/3"
+EDGE_BUDGET_S = 5.0
+
+
+def _edge(base, **changes):
+    """A deep copy of base with the changes made; key a__b sets base["a"]["b"]."""
+    config = copy.deepcopy(base)
+    for key, value in changes.items():
+        *path, last = key.split("__")
+        target = config
+        for part in path:
+            target = target[part]
+        target[last] = value
+    return config
+
+
+def _edge_cases():
+    """(command, config) at the edges of each schema: every numeric bound, the
+    smallest positive double, +-1e300, a 4 300-digit rational, and each capped
+    array at its cap."""
+    eye3 = np.eye(3).tolist()
+    solve = solve_config(gridShape=[8, 8])
+    manufacture = _edge(MANUFACTURE_CONFIG, gridShape=[8, 8])
+    classpath = _edge(CLASSPATH_CONFIG, gridShape=[8, 8])
+    glue = _edge(GLUE_CONFIG, gridShape=[8, 8])
+    parabola = [[k, k * k] for k in range(64)]  # 64 vertices in convex position
+    cases = {
+        "cone-n-1": ("kernel cone", {"schemaVersion": 1, "n": 1, "c": [], "lambda": [1.0]}),
+        "cone-n-8": ("kernel cone",
+                     {"schemaVersion": 1, "n": 8, "c": [0.1] * 7, "lambda": [1.0] * 8}),
+        "fm-n-1": ("kernel fm", _edge(FM_CONFIG, n=1, c=[])),
+        "fm-n-1e300": ("kernel fm", _edge(FM_CONFIG, n=10**300)),
+        "fm-kSafety-1": ("kernel fm", _edge(FM_CONFIG, kSafety=1)),
+        "identities-samples-cap": ("kernel identities",
+                                   {"schemaVersion": 1, "nList": [8], "samples": 100000}),
+        "identities-n-1": ("kernel identities",
+                           {"schemaVersion": 1, "nList": [1], "samples": 1}),
+        "run-3d-grid-8": ("solve run", solve_config(n=3, gridShape=[8, 8, 8], chi=eye3,
+                                                    omega0=eye3, c=[0.5, 0.5])),
+        "run-dtInit-1e-4": ("solve run", _edge(solve, dtInit=1e-4)),
+        "run-dtInit-1": ("solve run", _edge(solve, dtInit=1)),
+        "run-wave-4300-digits": ("solve run", _edge(
+            solve, f={"terms": [{"amplitude": 0.01, "wave": [10**4299, 0]}]})),
+        "run-reference-1e300": ("solve run", _edge(solve, referencePhi={"constant": HUGE})),
+        "classpath-s-minus-1": ("solve classpath", _edge(classpath, sList=[-1])),
+        "toric-vertices-cap": ("toric check",
+                               {"schemaVersion": 1, "pOmega": parabola, "pChi": parabola,
+                                "c": [1]}),
+        "toric-c-0": ("toric check", _edge(TORIC_PASSING, c=[0])),
+        "toric-c-4300-digits": ("toric check", _edge(TORIC_PASSING, c=[BIG_RATIONAL])),
+        "toric-vertex-4300-digits": ("toric check", _edge(
+            TORIC_PASSING, pOmega=[[0, 0], [BIG_RATIONAL, 0], [0, BIG_RATIONAL]])),
+        "mollify-gamma-0": ("psh mollify", _edge(MOLLIFY_CONFIG, potential__gamma=0)),
+        "lelong-domain-1e300": ("psh lelong", _edge(
+            LELONG_CONFIG, domain={"lo": [-HUGE, -HUGE], "hi": [HUGE, HUGE]})),
+        "cn-n-1": ("psh cn", {"schemaVersion": 1, "kernel": {"type": "polynomial"}, "n": 1}),
+        "cn-n-1e300": ("psh cn", {"schemaVersion": 1, "kernel": {"type": "constant"},
+                                  "n": 10**300}),
+    }
+    for t in (0, 1, TINY):
+        cases[f"cone-t-{t}"] = ("kernel cone", _edge(CONE_CONFIG, t=t))
+        cases[f"glue-t-{t}"] = ("psh glue", _edge(glue, t=t))
+    for v in (TINY, HUGE, -HUGE):
+        cases[f"cone-lambda-{v}"] = ("kernel cone", _edge(CONE_CONFIG, **{"lambda": [v, 1.0]}))
+        cases[f"run-omega0-{v}"] = ("solve run", _edge(solve, omega0=[[v, 0.0], [0.0, 1.0]]))
+        cases[f"run-f-constant-{v}"] = ("solve run", _edge(solve, f={"constant": v}))
+        cases[f"run-f-amplitude-{v}"] = ("solve run", _edge(
+            solve, f={"terms": [{"amplitude": v, "wave": [1, 0], "phase": v}]}))
+        cases[f"manufacture-amplitude-{v}"] = ("solve manufacture", _edge(
+            manufacture, phi={"terms": [{"amplitude": v, "wave": [1, 1]}]}))
+        cases[f"classpath-s-{v}"] = ("solve classpath", _edge(classpath, sList=[v]))
+        cases[f"mollify-x-{v}"] = ("psh mollify", _edge(MOLLIFY_CONFIG, x=[v, v]))
+        cases[f"mollify-smooth-{v}"] = ("psh mollify", _edge(
+            MOLLIFY_CONFIG, potential__smooth={"type": "quadratic", "coefficient": v}))
+        cases[f"lelong-delta-{v}"] = ("psh lelong", _edge(LELONG_CONFIG, deltaList=[v]))
+        cases[f"glue-offset-{v}"] = ("psh glue", _edge(glue, offset=v))
+    for v in (HUGE, -HUGE):  # integral floats; a toric entry is an integer or "p/q"
+        cases[f"toric-vertex-{v}"] = ("toric check",
+                                      _edge(TORIC_PASSING, pOmega=[[0, 0], [v, 0], [0, v]]))
+    for v in (TINY, HUGE):
+        cases[f"cone-c-{v}"] = ("kernel cone", _edge(CONE_CONFIG, c=[v]))
+        cases[f"fm-c-{v}"] = ("kernel fm", _edge(FM_CONFIG, c=[v]))
+        cases[f"fm-ratio-{v}"] = ("kernel fm", _edge(FM_CONFIG, ratio=v))
+        cases[f"fm-kSafety-{v}"] = ("kernel fm", _edge(FM_CONFIG, kSafety=min(v, 1)))
+        cases[f"run-tolerance-{v}"] = ("solve run", _edge(solve, tolerance=v))
+        cases[f"run-chi-{v}"] = ("solve run", _edge(solve, chi=[[v, 0.0], [0.0, v]]))
+        cases[f"run-c-{v}"] = ("solve run", _edge(solve, c=[v]))
+        cases[f"mollify-delta-{v}"] = ("psh mollify", _edge(MOLLIFY_CONFIG, delta=v))
+        cases[f"mollify-gamma-{v}"] = ("psh mollify", _edge(MOLLIFY_CONFIG, potential__gamma=v))
+        cases[f"lelong-r-{v}"] = ("psh lelong", _edge(LELONG_CONFIG, r=v))
+        cases[f"glue-eta-{v}"] = ("psh glue", _edge(glue, eta=v))
+    return [pytest.param(command, config, id=name) for name, (command, config) in cases.items()]
+
+
+@pytest.mark.parametrize("command, config", _edge_cases())
+def test_every_subcommand_ends_fast_with_one_named_outcome_at_its_schema_edges(
+    tmp_path, command, config
+):
+    validate(*command.split(), config)  # an edge, not past it
+    cfg = write_config(tmp_path, config)
+    started = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # a `gma` process's filters, not the suite's
+        code, out, err = run_cli([*command.split(), "--config", cfg])
+    assert time.perf_counter() - started <= EDGE_BUDGET_S
+    assert code in (0, 1, 2, 3)
+    # no traceback: every stderr line is one of the CLI's own
+    assert all(line.startswith("gma: ") for line in err.splitlines()), err
+    # invalid input prints nothing else; every other outcome prints its report
+    if code == 2:
+        assert out == "" and err
+    else:
+        assert json.loads(out)["schemaVersion"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,35 @@ def test_deleted_recurrence():
                 assert _close(sk, rec)
 
 
+def _descending_recurrence(planes, out):
+    """The per-k loop the slice updates replace: e_k += v e_{k-1}, k descending."""
+    out[0] = 1.0
+    for idx, v in enumerate(planes):
+        for k in range(idx + 1, 0, -1):
+            out[k] += v * out[k - 1]
+    return out
+
+
+def _rowwise_deleted_planes(planes):
+    """Each deleted row by its own descending recurrence over the kept planes."""
+    out = np.zeros((len(planes),) + planes.shape)
+    for i in range(len(planes)):
+        _descending_recurrence([v for j, v in enumerate(planes) if j != i], out[i])
+    return out
+
+
+@pytest.mark.parametrize("grid", [(24, 24, 24), (128, 128)])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_slice_recurrences_equal_the_descending_loops_bit_for_bit(n, grid):
+    rng = np.random.default_rng(300 + n)
+    lam = rng.uniform(0.5, 2.0, size=grid + (n,)) * 10.0 ** rng.uniform(-4, 4, size=grid + (n,))
+    planes = np.moveaxis(lam, -1, 0)
+    e_all = _descending_recurrence(planes, np.zeros((n + 1,) + grid))
+    assert elem_sym_all(lam).tobytes() == np.moveaxis(e_all, 0, -1).tobytes()
+    deleted = _rowwise_deleted_planes(planes)
+    assert elem_sym_deleted_all(lam).tobytes() == np.moveaxis(deleted, (0, 1), (-2, -1)).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_elem_sym_table_equals_the_scalar_oracles_bit_for_bit(n):
     rng = np.random.default_rng(200 + n)

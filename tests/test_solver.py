@@ -635,6 +635,18 @@ def test_eigvals_commute_with_power_of_two_scaling(n, k):
     assert solver._eigvals(np.ldexp(M, k)).tobytes() == np.ldexp(solver._eigvals(M), k).tobytes()
 
 
+def test_two_by_two_eigvals_rescale_each_point_by_its_own_power_of_two():
+    # diag(1e200, 2e200) and diag(1e-200, 2e-200): no one power of two keeps
+    # both points' a c - b^2 in range
+    M = solver._components(np.array([np.diag([1e200, 2e200]), np.diag([1e-200, 2e-200])]))
+    lam = solver._eigvals(M)
+    assert np.all(np.abs(lam / [[1e200, 2e200], [1e-200, 2e-200]] - 1.0) <= 1e-15)
+    for point, values in zip(M.T, lam):
+        exponent = np.frexp(np.abs(point).max())[1]
+        scaled = solver._eigvals(np.ldexp(point, -exponent)[:, None])[0]
+        assert values.tobytes() == np.ldexp(scaled, exponent).tobytes()
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-160])
 def test_two_dimensional_eigenvalues_of_extreme_classes(scale):
     # a c - b^2 alone would overflow to inf, or underflow to subnormals
@@ -689,6 +701,34 @@ def test_newton_evaluates_reduced_field_once_and_eigenvalues_per_trial(monkeypat
     assert np.array_equal(phi, state.phi)
 
 
+@pytest.mark.parametrize("shape", [(64,), (128, 128), (16, 32), (24, 24, 24), (8, 16, 10)])
+def test_inverse_transform_passes_equal_irfftn_bit_for_bit(shape):
+    n = len(shape)
+    rng = np.random.default_rng(sum(shape))
+    pairs = n * (n + 1) // 2
+    kernel = rng.normal(size=(pairs,) + shape[:-1] + (shape[-1] // 2 + 1,))
+    rho_hat = np.fft.rfftn(rng.normal(size=shape))
+    want = np.fft.irfftn(kernel * rho_hat, s=shape, axes=range(1, n + 1))
+    spectrum, scratch = np.empty(kernel.shape, complex), np.empty(kernel.shape, complex)
+    out = np.empty((pairs,) + shape)
+    got = solver._inverse_transform(np.multiply(kernel, rho_hat, out=spectrum), scratch, out)
+    assert got is out
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_background_start_equals_the_evaluated_field_of_phi_zero(n, scheme):
+    rng = np.random.default_rng(80 + n)
+    A, B = rng.normal(size=(2, n, n))
+    geom = TorusGeometry(n, (8,) * n, A @ A.T + n * np.eye(n), B @ B.T + n * np.eye(n), scheme)
+    background = solver._Start.background(geom)
+    evaluated = solver._Start.at(geom, np.zeros(geom.grid_shape))
+    for got, want in zip(background, evaluated):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert background.lam.tobytes() == evaluated.lam.tobytes()
+
+
 def test_newton_step_reuses_the_transforms_of_the_last_gmres_call(monkeypatch):
     # the 128^2 solve of the benchmark's solver workload, at fixed phases
     chi, omega0 = np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([[1.3, 0.1], [0.1, 1.1]])
@@ -699,7 +739,7 @@ def test_newton_step_reuses_the_transforms_of_the_last_gmres_call(monkeypatch):
         {"amplitude": 0.3 / (8.0 * PI2), "wave": [1, 2], "phase": 2.5},
     ])
     f = manufacture(geom, coeffs, phi_star).f_grid
-    counts = {"rfftn": 0, "irfftn": 0}
+    counts = {"rfftn": 0, "irfftn": 0, "ifft": 0, "irfft": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -715,9 +755,12 @@ def test_newton_step_reuses_the_transforms_of_the_last_gmres_call(monkeypatch):
     steps = len(state.newton_trace)
     iterations = sum(entry["gmres_iterations"] for entry in state.newton_trace)
     assert (steps, iterations) == (4, 15)
-    # a transform pair per stage's reduced field and per GMRES iteration,
-    # one per step's true residual, and one irfftn per step for dphi
-    assert counts == {"rfftn": 2 + iterations + steps, "irfftn": 2 + iterations + 2 * steps}
+    # the t = 0 stage is the constant background and the t = 1 stage starts
+    # no attempt, so no stage transforms its field; each operator call (one
+    # per GMRES iteration, one per step's true residual) runs one rfftn, one
+    # ifft pass over the full axis and one irfft; one irfftn per step for dphi
+    calls = iterations + steps
+    assert counts == {"rfftn": calls, "irfftn": steps, "ifft": calls, "irfft": calls}
 
 
 def test_newton_trace_records_trials_and_cone_rejections():
@@ -1030,9 +1073,11 @@ def test_cone_violating_path_fails_fast(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(solver, "_linearization", counting)
-    with pytest.warns(UserWarning), pytest.raises(StepUnderflowError, match=r"t = 0\.895874"):
+    # the secant of the stage margins crosses zero at t*: the path stops
+    # there instead of halving dt down to the floor
+    with pytest.warns(UserWarning), pytest.raises(StepUnderflowError, match=r"t\* = 0\.896006"):
         continuity_solve(geom, coeffs, case.f_grid)
-    assert calls[0] <= 60
+    assert calls[0] <= 45
 
 
 def test_newton_aborts_on_poor_contraction():
@@ -1102,6 +1147,29 @@ def test_class_path_probe_raises_on_a_non_finite_class_and_keeps_source_verdicts
     assert report.rows[0]["error"] == "ValueError"
 
 
+def test_class_path_probe_checks_every_class_before_the_first_solve(monkeypatch):
+    geom = geom2(16, np.eye(2), 0.45 * np.eye(2))
+    calls = [0]
+    original = solver.continuity_solve
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "continuity_solve", counting)
+    for s_list in ([0.0, 1e300], [1e300, 0.0, 0.5], [0.0, -1.0]):
+        with pytest.raises(ValueError, match="is not finite|must stay positive"):
+            class_path_probe(geom, CoefficientSet(2, (1.0,)), np.zeros(geom.grid_shape), s_list)
+    assert calls[0] == 0
+
+
+def test_continuity_solve_refuses_class_integrals_past_the_float_range():
+    # chi = 5e-324 I: L^{-1} overflows, and the integrals would read nan
+    geom = geom2(8, np.diag([5e-324, 5e-324]))
+    with pytest.raises(ValueError, match="class integrals are not finite"):
+        continuity_solve(geom, CoefficientSet(2, (1.0,)), np.zeros(geom.grid_shape))
+
+
 def test_continuity_solve_rejects_dt_init_below_the_step_floor():
     geom = geom2(16)
     with pytest.raises(ValueError, match="dt_init must be at least 0.0001"):
@@ -1138,6 +1206,18 @@ def _class_path_problem(nx, scheme, phase=0.0):
     f = trig_polynomial(geom.grid_shape, 0.0,
                         [{"amplitude": 0.01, "wave": (1, 1), "phase": phase}])
     return geom, CoefficientSet(2, (1.0,)), f
+
+
+def test_failing_class_path_row_stops_at_the_predicted_crossing():
+    # the s = 0.2 row of the benchmark's class path crosses the cone boundary
+    # near t = 0.8915; the path stops there, not after halving dt to the floor
+    geom, coeffs, f = _class_path_problem(32, "fd")
+    geom = replace(geom, omega0=1.2 * geom.omega0)
+    shift = cohomology_integrals(geom, coeffs, f).defect
+    with pytest.warns(UserWarning), pytest.raises(StepUnderflowError) as info:
+        continuity_solve(geom, coeffs, f + shift)
+    t_star = float(re.search(r"t\* = (\d\.\d+)", str(info.value)).group(1))
+    assert abs(t_star - 0.8915) <= 1e-3
 
 
 def test_class_path_probe_solves_large_classes():
