@@ -523,6 +523,21 @@ _GMRES_RESTART = 64
 _GMRES_MAXITER = 40
 
 
+def _dot(u, v):
+    """u . v of two grid-sized vectors, in einsum's single-threaded loop.
+
+    Not BLAS: OpenBLAS splits a dot product past 10^4 entries across its
+    threads, so each call waited on all of them (on two cores, a process
+    busy on one made solves 2.5 times slower) and the low bits of the sum,
+    hence of every solve, depended on the thread count.
+    """
+    return np.einsum("i,i->", u, v)
+
+
+def _norm(u):
+    return np.sqrt(_dot(u, u))
+
+
 def _gmres(operator, b, rtol=_GMRES_RTOL):
     """Restarted GMRES from x0 = 0 (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7(3), 1986).
 
@@ -536,7 +551,7 @@ def _gmres(operator, b, rtol=_GMRES_RTOL):
     call, the iteration count and the true relative residual.
     """
     restart = _GMRES_RESTART
-    b_norm = np.linalg.norm(b)
+    b_norm = _norm(b)
     tol = rtol * b_norm
     x = np.zeros_like(b)
     r, r_norm = b, b_norm
@@ -551,9 +566,9 @@ def _gmres(operator, b, rtol=_GMRES_RTOL):
             w = operator(basis[j])
             iterations += 1
             for i, v in enumerate(basis):
-                hess[i, j] = w @ v
+                hess[i, j] = _dot(w, v)
                 w -= hess[i, j] * v
-            h_next = np.linalg.norm(w)
+            h_next = _norm(w)
             for i in range(j):
                 hess[i, j], hess[i + 1, j] = (cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
                                               cs[i] * hess[i + 1, j] - sn[i] * hess[i, j])
@@ -569,7 +584,7 @@ def _gmres(operator, b, rtol=_GMRES_RTOL):
         for coef, v in zip(np.linalg.solve(hess[:k, :k], g[:k]), basis):
             x += coef * v
         r = b - operator(x)
-        new_norm = np.linalg.norm(r)
+        new_norm = _norm(r)
         if new_norm <= tol:
             return x, iterations, float(new_norm / b_norm)
         if not new_norm < r_norm:

@@ -825,6 +825,32 @@ def test_gmres_solves_to_true_relative_residual():
     assert 0 < iterations <= solver._GMRES_RESTART
 
 
+def _refuse_blas(*args, **kwargs):
+    raise AssertionError("BLAS dot product")
+
+
+class _NoBlasVector(np.ndarray):
+    """A vector whose BLAS reductions v @ w and v.dot(w) raise."""
+
+    __matmul__ = dot = _refuse_blas
+
+
+def test_gmres_inner_products_stay_off_blas(monkeypatch):
+    # a 128^2 grid vector, past the length where OpenBLAS threads a dot product
+    rng = np.random.default_rng(5)
+    d = 1.0 + rng.random(128 * 128)
+    b = rng.standard_normal(d.size).view(_NoBlasVector)
+    monkeypatch.setattr(np, "dot", _refuse_blas)
+    monkeypatch.setattr(np.linalg, "norm", _refuse_blas)
+    x, iterations, rel = solver._gmres(lambda v: d * v, b)
+    monkeypatch.undo()
+    assert rel <= solver._GMRES_RTOL
+    assert np.abs(d * x - b).max() <= 1e-11 * np.abs(b).max()
+    u, v = rng.standard_normal((2, d.size))
+    assert solver._dot(u, v) == pytest.approx(math.fsum(u * v), rel=1e-12)
+    assert solver._norm(u) == pytest.approx(math.sqrt(math.fsum(u * u)), rel=1e-14)
+
+
 @pytest.mark.parametrize(
     "make_geom, scheme",
     [(lambda: geom2(32, [[1.0, 0.2], [0.2, 0.8]], [[1.3, 0.1], [0.1, 1.1]]), "spectral"),
