@@ -58,9 +58,23 @@ _CSV_COMMANDS = {("psh", "lelong"), ("solve", "classpath")}
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def _camel(key):
-    head, *rest = str(key).split("_")
-    return head + "".join(part[:1].upper() + part[1:] for part in rest)
+class _CamelKeys(dict):
+    """key -> its camelCase form (``per_index_load`` -> ``perIndexLoad``),
+    worked out on a key's first lookup and cached."""
+
+    def __missing__(self, key):
+        head, *rest = str(key).split("_")
+        self[key] = camel = head + "".join(part[:1].upper() + part[1:] for part in rest)
+        return camel
+
+
+_CAMEL = _CamelKeys()
+
+
+@functools.cache
+def _record_keys(record_type):
+    """(field name, camelCase key) of each declared field of a result record type."""
+    return tuple((f.name, _CAMEL[f.name]) for f in dataclasses.fields(record_type))
 
 
 def _fields(record):
@@ -69,16 +83,19 @@ def _fields(record):
 
 def _sanitize(obj):
     """Reduce a report tree to plain JSON types: a result record becomes the
-    dict of its declared fields, every key its camelCase (``per_index_load``
-    -> ``perIndexLoad``), a Fraction "p/q", a non-finite float None."""
-    import numpy as np
-
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = _fields(obj)
+    dict of its declared fields, every key its camelCase, a Fraction "p/q",
+    a non-finite float None."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
-        return {_camel(k): _sanitize(v) for k, v in obj.items()}
+        return {_CAMEL[k]: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {key: _sanitize(getattr(obj, name)) for name, key in _record_keys(kind)}
     if isinstance(obj, Fraction):
         try:
             return str(obj)  # "p/q", or "p" when q = 1
@@ -87,6 +104,8 @@ def _sanitize(obj):
                 f"an exact rational of the report has more than "
                 f"{sys.get_int_max_str_digits()} digits"
             ) from None
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
@@ -95,14 +114,43 @@ def _sanitize(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
-        return value if value == value and abs(value) != float("inf") else None
-    if obj is None or isinstance(obj, str):
+        return value if math.isfinite(value) else None
+    if isinstance(obj, str):
         return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-def _render_json(report):
-    return json.dumps(report, sort_keys=True, indent=2)
+_json_string = json.encoder.encode_basestring_ascii  # json.dumps' own, ensure_ascii
+_JSON_SCALARS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    float: float.__repr__,
+    str: _json_string,
+}
+
+
+def _render_json(report, indent=""):
+    """``json.dumps(report, sort_keys=True, indent=2)`` of a sanitized report,
+    byte for byte, written directly instead of by json's pure-Python
+    indenting encoder."""
+    scalar = _JSON_SCALARS.get(type(report))
+    if scalar is not None:
+        return scalar(report)
+    inner = indent + "  "
+    if isinstance(report, dict):
+        if not report:
+            return "{}"
+        items = [_json_string(key) + ": " + _render_json(report[key], inner)
+                 for key in sorted(report)]
+    elif isinstance(report, list):
+        if not report:
+            return "[]"
+        items = [_render_json(item, inner) for item in report]
+    else:
+        raise TypeError(f"cannot render {type(report).__name__}")
+    opening, closing = ("{", "}") if isinstance(report, dict) else ("[", "]")
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 def _render_csv(key, report):
@@ -262,27 +310,29 @@ def _handle_kernel_identities(config, args, config_dir):
     worst_chain = 0.0
     worst_dual = 0.0
     for n in n_list:
-        lam = 10.0 ** rng.uniform(-2.0, 2.0, size=(samples, n))
+        # the (samples, n) draw held as n contiguous planes; lam is its (samples, n) view
+        planes = np.power(10.0, rng.uniform(-2.0, 2.0, size=(samples, n)).T,
+                          out=np.empty((n, samples)))
+        lam = planes.T
         e_all = kernel.elem_sym_all(lam)
         deleted = kernel.elem_sym_deleted_all(lam)
-        # e_k = e_{k;i} + lam_i e_{k-1;i} for every deleted index i
-        for k in range(1, n + 1):
-            kept = deleted[:, :, k] if k <= n - 1 else 0.0
-            recombined = kept + lam * deleted[:, :, k - 1]
-            rel = np.abs(recombined - e_all[:, k : k + 1]) / np.abs(e_all[:, k : k + 1])
-            worst_recurrence = max(worst_recurrence, float(rel.max()))
-        # normalized power-mean chain is non-increasing for positive entries
-        means = np.stack(
-            [
-                (e_all[:, k] / math.comb(n, k)) ** (1.0 / k)
-                for k in range(1, n + 1)
-            ],
-            axis=1,
-        )
-        drops = means[:, :-1] - means[:, 1:]
+        e = np.moveaxis(e_all, -1, 0)  # e[k] = e_k
+        e_del = np.moveaxis(deleted, (-2, -1), (0, 1))  # e_del[i, m] = e_{m;i}
+        # e_k = e_{k;i} + lam_i e_{k-1;i} for every deleted index i and k = 1..n;
+        # e_{n;i} = 0 and 0.0 + x is x, so the k = n terms are the products alone
+        rel = planes[:, None] * e_del
+        rel[:, :-1] += e_del[:, 1:]
+        rel -= e[1:]
+        np.abs(rel, out=rel)
+        rel /= np.abs(e[1:])
+        worst_recurrence = max(worst_recurrence, float(rel.max()))
+        # normalized power-mean chain is non-increasing for positive entries;
+        # each exponent 1/k stays a Python float, so 1/2 takes numpy's sqrt path
+        means = np.stack([(e[k] / math.comb(n, k)) ** (1.0 / k) for k in range(1, n + 1)])
+        drops = means[:-1] - means[1:]
         if drops.size:
             worst_chain = max(
-                worst_chain, float((-drops / np.abs(means[:, :-1])).max())
+                worst_chain, float((-drops / np.abs(means[:-1])).max())
             )
         # enumeration route vs vectorized routes on a subsample
         sub = min(samples, 20)
@@ -504,7 +554,7 @@ def _write_outputs(out_dir, rendered_json, artifacts, wall_seconds):
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(rendered_json + "\n")
     (out / "timings.json").write_text(
-        json.dumps({"wallSeconds": wall_seconds}, sort_keys=True, indent=2) + "\n"
+        _render_json({"wallSeconds": wall_seconds}) + "\n"
     )
     for name, values in artifacts.items():
         write_grid(out / name, values)

@@ -303,7 +303,8 @@ def expected_abs_difference(d):
 
 def _regularized_pair(a, b, eta):
     gap = np.abs(a - b)
-    blended = 0.5 * (a + b) + 0.5 * eta * expected_abs_difference(np.minimum(gap / eta, 1.0))
+    # clamped before the division, so gap / eta cannot overflow at a tiny eta
+    blended = 0.5 * (a + b) + 0.5 * eta * expected_abs_difference(np.minimum(gap, eta) / eta)
     return np.where(gap >= eta, np.maximum(a, b), blended)
 
 

@@ -649,10 +649,22 @@ def _newton_step(geom, lin, res, rtol):
         _inverse_transform(np.multiply(kernel, rho_hat, out=spectra[0]), spectra[1], comps)
         return (lin.combine(comps) - lin.slack_direction * rho_hat.flat[0].real / N).ravel()
 
-    y, iterations, linear_residual = _gmres(operator, -res.ravel(), rtol)
+    # a residual outside 2^+-500 goes to GMRES scaled by the exact power of two of
+    # its largest entry, so the inner products neither overflow nor underflow; the
+    # operator is linear, so the step scales back exactly.  In range nothing is scaled.
+    exponent = math.frexp(np.abs(res).max())[1]  # exponent 0 for zeros, inf or nan
+    scaled = abs(exponent) > 500
+    y, iterations, linear_residual = _gmres(
+        operator, np.ldexp(-res.ravel(), -exponent) if scaled else -res.ravel(), rtol
+    )
     # the transforms of _gmres's last operator call, which ran on y
     dphi = np.fft.irfftn(inverse_symbol * rho_hat, s=shape, axes=range(geom.n))
-    return dphi, comps, float(-rho_hat.flat[0].real / N), iterations, linear_residual
+    ds = float(-rho_hat.flat[0].real / N)
+    if scaled:
+        np.ldexp(dphi, exponent, out=dphi)
+        np.ldexp(comps, exponent, out=comps)
+        ds = math.ldexp(ds, exponent)
+    return dphi, comps, ds, iterations, linear_residual
 
 
 @dataclass

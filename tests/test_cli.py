@@ -16,6 +16,7 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
+from schema_oracle import disagreements
 
 from gma.cli import main
 from gma.gridio import read_grid, write_grid
@@ -27,6 +28,8 @@ IDENTITY2 = [[1.0, 0.0], [0.0, 1.0]]
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
+    # every config a test writes is a case of the differential test of the validator
+    assert disagreements(json.loads(path.read_text())) == []
     return str(path)
 
 
@@ -40,7 +43,23 @@ def run_cli(argv):
 def run_json(argv):
     code, out, err = run_cli(argv)
     assert out, f"no stdout (stderr: {err!r})"
-    return code, json.loads(out)
+    report = json.loads(out)
+    # written byte for byte as json.dumps would write it
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return code, report
+
+
+def test_render_json_writes_what_json_dumps_writes():
+    from gma.cli import _render_json
+
+    trees = [
+        None, True, False, 0, -7, 10**300, 1.5, -0.0, 5e-324, 1e300, "", "x",
+        [], {}, [[]], [{}], {"a": {}}, {"a": []},
+        {"b": {"d": [1, 2.5, None, True, False, "x"], "c": {}}, "a": [[], [{}], {"k": [[1]]}]},
+        {"\u00fc": "\u00e9\n\"\\\u2028\x00\t", "Z": 1, "_": 2, "a": 3, "10": 4, "9": 5},
+    ]
+    for tree in trees:
+        assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +186,41 @@ def test_kernel_identities_dual_route_equals_the_per_element_loop(tmp_path):
     assert code == 0
     assert worst > 0.0
     assert report["checks"]["dualRoute"]["maxRelError"] == worst
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_kernel_identities_report_equals_the_per_k_loop_bit_for_bit(tmp_path, seed):
+    # the sweep as it ran on strided (samples, n) rows, one k at a time, on the same draws
+    from gma.kernel import elem_sym_all, elem_sym_deleted_all, elem_sym_table
+
+    n_list, samples = list(range(1, 9)), 300
+    rng = np.random.default_rng(seed)
+    recurrence = chain = dual = 0.0
+    for n in n_list:
+        lam = 10.0 ** rng.uniform(-2.0, 2.0, size=(samples, n))
+        e_all, deleted = elem_sym_all(lam), elem_sym_deleted_all(lam)
+        for k in range(1, n + 1):
+            kept = deleted[:, :, k] if k <= n - 1 else 0.0
+            recombined = kept + lam * deleted[:, :, k - 1]
+            rel = np.abs(recombined - e_all[:, k : k + 1]) / np.abs(e_all[:, k : k + 1])
+            recurrence = max(recurrence, float(rel.max()))
+        means = np.stack(
+            [(e_all[:, k] / math.comb(n, k)) ** (1.0 / k) for k in range(1, n + 1)], axis=1
+        )
+        drops = means[:, :-1] - means[:, 1:]
+        if drops.size:
+            chain = max(chain, float((-drops / np.abs(means[:, :-1])).max()))
+        for got, truth in zip((e_all[:20], deleted[:20]), elem_sym_table(lam[:20])):
+            rel = np.abs(got - truth) / np.maximum(np.abs(truth), 1e-300)
+            dual = max(dual, float(rel.max()))
+    cfg = write_config(tmp_path, {"schemaVersion": 1, "nList": n_list, "samples": samples})
+    code, report = run_json(["kernel", "identities", "--config", cfg, "--seed", str(seed)])
+    assert code == 0
+    checks = report["checks"]
+    got = (checks["recurrence"]["maxRelError"], checks["maclaurinMonotone"]["worstViolation"],
+           checks["dualRoute"]["maxRelError"])
+    assert recurrence > 0.0 and dual > 0.0
+    assert [v.hex() for v in got] == [v.hex() for v in (recurrence, max(chain, 0.0), dual)]
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +928,9 @@ def _edge_cases():
         "cn-n-1": ("psh cn", {"schemaVersion": 1, "kernel": {"type": "polynomial"}, "n": 1}),
         "cn-n-1e300": ("psh cn", {"schemaVersion": 1, "kernel": {"type": "constant"},
                                   "n": 10**300}),
+        # an in-phase source: the class stays compatible and the Newton residual is huge
+        "run-f-amplitude-1e200": ("solve run", _edge(
+            solve, f={"terms": [{"amplitude": 1e200, "wave": [1, 0]}]})),
     }
     for t in (0, 1, TINY):
         cases[f"cone-t-{t}"] = ("kernel cone", _edge(CONE_CONFIG, t=t))
@@ -910,9 +967,14 @@ def _edge_cases():
     return [pytest.param(command, config, id=name) for name, (command, config) in cases.items()]
 
 
+# edges with a known outcome: an exit code, or nothing on stderr
+EDGE_EXIT_CODES = {"run-f-amplitude-1e200": 1}
+QUIET_EDGES = {"glue-eta-5e-324"}
+
+
 @pytest.mark.parametrize("command, config", _edge_cases())
 def test_every_subcommand_ends_fast_with_one_named_outcome_at_its_schema_edges(
-    tmp_path, command, config
+    tmp_path, request, command, config
 ):
     validate(*command.split(), config)  # an edge, not past it
     cfg = write_config(tmp_path, config)
@@ -922,6 +984,10 @@ def test_every_subcommand_ends_fast_with_one_named_outcome_at_its_schema_edges(
         code, out, err = run_cli([*command.split(), "--config", cfg])
     assert time.perf_counter() - started <= EDGE_BUDGET_S
     assert code in (0, 1, 2, 3)
+    name = request.node.callspec.id
+    assert code == EDGE_EXIT_CODES.get(name, code)
+    if name in QUIET_EDGES:
+        assert err == ""
     # no traceback: every stderr line is one of the CLI's own
     assert all(line.startswith("gma: ") for line in err.splitlines()), err
     # invalid input prints nothing else; every other outcome prints its report
@@ -929,6 +995,17 @@ def test_every_subcommand_ends_fast_with_one_named_outcome_at_its_schema_edges(
         assert out == "" and err
     else:
         assert json.loads(out)["schemaVersion"] == 1
+
+
+@pytest.mark.parametrize("amplitude", [1e200, 1e300, -1e300])
+def test_huge_sources_end_with_a_named_gma_error(tmp_path, amplitude):
+    # GMRES gets the Newton residual scaled into range, so no "Singular matrix" escapes
+    config = solve_config(gridShape=[8, 8], f={"terms": [{"amplitude": amplitude, "wave": [1, 0]}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the source is far below the guaranteed floor
+        code, out, err = run_cli(["solve", "run", "--config", write_config(tmp_path, config)])
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["type"] == "StepUnderflowError"
 
 
 # ---------------------------------------------------------------------------

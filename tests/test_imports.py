@@ -1,5 +1,5 @@
 """Module boundaries: no gma module imports another module's private names,
-no gma module loads scipy, every public name is listed where it is defined,
+no gma module loads scipy or jsonschema, every public name is listed where it is defined,
 and the benchmark tracer still finds every entry point it wraps by name."""
 
 from __future__ import annotations
@@ -89,6 +89,18 @@ def test_package_imports_without_scipy(child_env):
     code = (
         "import sys, gma.cli, gma.gridio, gma.kernel, gma.psh, gma.schemas, gma.solver, gma.toric; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", done.stdout
+
+
+def test_package_imports_without_jsonschema(child_env):
+    # configs are validated in-repo; jsonschema is a test oracle only
+    code = (
+        "import sys, gma.cli, gma.kernel, gma.psh, gma.solver, gma.toric; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, check=False)

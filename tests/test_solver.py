@@ -763,6 +763,47 @@ def test_newton_step_reuses_the_transforms_of_the_last_gmres_call(monkeypatch):
     assert counts == {"rfftn": calls, "irfftn": steps, "ifft": calls, "irfft": calls}
 
 
+_BENCH_SOLVES = {
+    "128^2": ((128, 128), [[1.0, 0.2], [0.2, 0.8]], [[1.3, 0.1], [0.1, 1.1]], (0.5,),
+              ([1, 0], [1, 2])),
+    "24^3": ((24, 24, 24), [[1.0, 0.1, 0.0], [0.1, 0.9, 0.1], [0.0, 0.1, 1.1]],
+             [[1.3, 0.1, 0.05], [0.1, 1.2, 0.0], [0.05, 0.0, 1.25]], (0.5, 0.3),
+             ([1, 0, 1], [0, 2, 1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BENCH_SOLVES))
+def test_newton_step_scales_a_huge_or_tiny_residual_exactly(case, monkeypatch):
+    # every Newton system of the benchmark's manufactured solves, at fixed phases
+    shape, chi, omega0, c, waves = _BENCH_SOLVES[case]
+    geom = TorusGeometry(len(shape), shape, np.array(chi), np.array(omega0))
+    coeffs = CoefficientSet(geom.n, c)
+    phi_star = trig_polynomial(shape, 0.0, [
+        {"amplitude": 0.3 / (4.0 * PI2), "wave": waves[0], "phase": 0.4},
+        {"amplitude": 0.3 / (8.0 * PI2), "wave": waves[1], "phase": 2.5},
+    ])
+    f = manufacture(geom, coeffs, phi_star).f_grid
+    systems = []
+    newton_step = solver._newton_step
+
+    def recording(geom, lin, res, rtol):
+        systems.append((lin, res.copy(), rtol, newton_step(geom, lin, res, rtol)))
+        return systems[-1][-1]
+
+    monkeypatch.setattr(solver, "_newton_step", recording)
+    continuity_solve(geom, coeffs, f)
+    monkeypatch.undo()
+    assert sum(plain[3] for *_, plain in systems) > 2 * len(systems)  # GMRES iterations
+    for lin, res, rtol, plain in systems:
+        for shift in (600, -600):
+            # outside 2^+-500 GMRES runs on res / 2^e, e the exponent of |res|_inf
+            scaled = newton_step(geom, lin, np.ldexp(res, shift), rtol)
+            for got, want in zip(scaled[:2], plain[:2]):  # dphi and dM
+                assert np.ldexp(got, -shift).tobytes() == want.tobytes()
+            assert math.ldexp(scaled[2], -shift) == plain[2]  # ds
+            assert scaled[3:] == plain[3:]  # iterations and relative residual
+
+
 def test_newton_trace_records_trials_and_cone_rejections():
     # a full step from phi = 0 leaves the cone once before an accepted half step
     geom, coeffs, f = _solve_3d_case(np.eye(3), 0.06)
