@@ -3,8 +3,7 @@
 Modules
 -------
 kernel      pointwise eigenvalue algebra: elementary symmetric polynomials,
-            cone-condition loads, the scalar operator and its gradient,
-            source-term floors, restriction coefficients.
+            cone-condition loads, source-term floors.
 solver      continuity-method solver for the equation on flat tori with
             constant-coefficient background forms.
 psh         mollification, uniform cone checks, Lelong numbers at level

@@ -77,25 +77,26 @@ def _record_keys(record_type):
     return tuple((f.name, _CAMEL[f.name]) for f in dataclasses.fields(record_type))
 
 
-def _fields(record):
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+_json_string = json.encoder.encode_basestring_ascii  # json.dumps' own, ensure_ascii
+_JSON_SCALARS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    float: lambda obj: float.__repr__(obj) if math.isfinite(obj) else "null",
+    str: _json_string,
+}
 
 
-def _sanitize(obj):
-    """Reduce a report tree to plain JSON types: a result record becomes the
-    dict of its declared fields, every key its camelCase, a Fraction "p/q",
-    a non-finite float None."""
-    kind = type(obj)
-    if kind is float:
-        return obj if math.isfinite(obj) else None
-    if kind is str or kind is int or kind is bool or obj is None:
-        return obj
+def _members(obj):
+    """{camelCase key: value} of a dict or of a result record's declared fields."""
     if isinstance(obj, dict):
-        return {_CAMEL[k]: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {key: _sanitize(getattr(obj, name)) for name, key in _record_keys(kind)}
+        return {_CAMEL[k]: v for k, v in obj.items()}
+    return {key: getattr(obj, name) for name, key in _record_keys(type(obj))}
+
+
+def _plain(obj):
+    """The JSON value of a leaf that is no builtin scalar: a Fraction is "p/q",
+    a numpy value or a number subclass its Python number."""
     if isinstance(obj, Fraction):
         try:
             return str(obj)  # "p/q", or "p" when q = 1
@@ -107,49 +108,37 @@ def _sanitize(obj):
     import numpy as np
 
     if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
-    if isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {kind.__name__}")
+        return float(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_json_string = json.encoder.encode_basestring_ascii  # json.dumps' own, ensure_ascii
-_JSON_SCALARS = {
-    type(None): lambda obj: "null",
-    bool: lambda obj: "true" if obj else "false",
-    int: int.__repr__,
-    float: float.__repr__,
-    str: _json_string,
-}
-
-
-def _render_json(report, indent=""):
-    """``json.dumps(report, sort_keys=True, indent=2)`` of a sanitized report,
-    byte for byte, written directly instead of by json's pure-Python
-    indenting encoder."""
-    scalar = _JSON_SCALARS.get(type(report))
+def _render_json(obj, indent=""):
+    """The bytes ``json.dumps(tree, sort_keys=True, indent=2)`` writes for the
+    plain JSON tree of a report, in one walk: a result record stands for the
+    dict of its declared fields, every key for its camelCase, a non-finite
+    float for null, and any other leaf for its `_plain` value."""
+    scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
-        return scalar(report)
+        return scalar(obj)
     inner = indent + "  "
-    if isinstance(report, dict):
-        if not report:
-            return "{}"
-        items = [_json_string(key) + ": " + _render_json(report[key], inner)
-                 for key in sorted(report)]
-    elif isinstance(report, list):
-        if not report:
-            return "[]"
-        items = [_render_json(item, inner) for item in report]
+    if isinstance(obj, (list, tuple)):
+        opening, closing = "[", "]"
+        items = [_render_json(item, inner) for item in obj]
+    elif isinstance(obj, dict) or dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        opening, closing = "{", "}"
+        members = _members(obj)
+        items = [_json_string(key) + ": " + _render_json(members[key], inner)
+                 for key in sorted(members)]
     else:
-        raise TypeError(f"cannot render {type(report).__name__}")
-    opening, closing = ("{", "}") if isinstance(report, dict) else ("[", "]")
+        return _render_json(_plain(obj), indent)
+    if not items:
+        return opening + closing
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
@@ -415,6 +404,14 @@ def _float(q):
         return math.inf if q > 0 else -math.inf
 
 
+def _face_normal(key):
+    """The integer facet normal that a faceLabels key "a,b,..." names."""
+    try:
+        return tuple(int(part) for part in key.split(","))
+    except ValueError:
+        raise ValueError(f"faceLabels: {key!r} is not a comma-separated integer normal") from None
+
+
 def _handle_toric_check(config, args, config_dir):
     from .toric import ClassPolytopePair, RationalPolytope, check_criterion
     # Fraction reads every schema-admitted entry exactly: ints, integral floats, "p/q"
@@ -422,18 +419,15 @@ def _handle_toric_check(config, args, config_dir):
     p_chi = RationalPolytope([tuple(map(Fraction, v)) for v in config["pChi"]])
     labels = None
     if "faceLabels" in config:
-        labels = {
-            tuple(int(part) for part in key.split(",")): name
-            for key, name in config["faceLabels"].items()
-        }
+        labels = {_face_normal(key): name for key, name in config["faceLabels"].items()}
     pair = ClassPolytopePair(p_omega, p_chi, face_labels=labels)
     result = check_criterion(pair, [Fraction(v) for v in config["c"]])
     report = {
-        **_fields(result),
+        **_members(result),
         "n": pair.n,
-        "epsilon_uniform_float": _float(result.epsilon_uniform),
-        "per_face": [
-            {**_fields(row), "lhs_float": _float(row.lhs), "ratio_float": _float(row.ratio)}
+        "epsilonUniformFloat": _float(result.epsilon_uniform),
+        "perFace": [
+            {**_members(row), "lhsFloat": _float(row.lhs), "ratioFloat": _float(row.ratio)}
             for row in result.per_face
         ],
     }
@@ -493,7 +487,7 @@ def _handle_psh_glue(config, args, config_dir):
         float(config["eta"]),
         float(config["offset"]),
     )
-    report = _fields(rep)
+    report = _members(rep)
     artifacts = {"glued.grid": report.pop("glued")}
     return report, artifacts, 0
 
@@ -587,7 +581,7 @@ def main(argv=None):
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
             report, artifacts, code = _HANDLERS[key](config, args, config_path.parent)
-        report = {"schemaVersion": SCHEMA_VERSION, **_sanitize(report)}
+        rendered_json = _render_json({"schemaVersion": SCHEMA_VERSION, **_members(report)})
     except (SchemaError, FanMismatchError, ValueError, TypeError) as exc:
         print(f"gma: {exc}", file=sys.stderr)
         return 2
@@ -600,15 +594,14 @@ def main(argv=None):
             payload["error"]["defect"] = float(exc.defect)
         if isinstance(exc, ConeBreachError) and exc.value is not None:
             payload["error"]["value"] = float(exc.value)
-        rendered = _render_json(_sanitize(payload))
+        rendered = _render_json(payload)
         print(rendered)
         if args.out:
             _write_outputs(args.out, rendered, {}, time.perf_counter() - started)
         return 1
 
-    rendered_json = _render_json(report)
     if args.format == "csv":
-        print(_render_csv(key, report))
+        print(_render_csv(key, json.loads(rendered_json)))
     else:
         print(rendered_json)
     if args.out:

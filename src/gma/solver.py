@@ -382,7 +382,7 @@ def eigenvalue_field(geom, phi):
 # residual / margin / linearization
 # ---------------------------------------------------------------------------
 
-def _positive_field(geom, phi, message, report_value=True):
+def _positive_field(geom, phi, message):
     """(M, lam): the reduced field at phi and its ascending eigenvalues.
 
     Raises ConeBreachError(message) with the least eigenvalue unless every
@@ -392,7 +392,7 @@ def _positive_field(geom, phi, message, report_value=True):
     lam = _eigvals(reduced)
     value = lam[..., 0].min()
     if value <= 0.0:
-        raise ConeBreachError(message, value=float(value) if report_value else None)
+        raise ConeBreachError(message, value=float(value))
     return reduced, lam
 
 
@@ -867,9 +867,7 @@ def manufacture(geom, coeffs, phi_star):
     endpoint residual of phi_star vanishes identically.
     """
     phi = _canonical(phi_star, geom.grid_shape)
-    _, lam = _positive_field(
-        geom, phi, "manufacture: phi_star leaves the positive cone", report_value=False
-    )
+    _, lam = _positive_field(geom, phi, "manufacture: phi_star leaves the positive cone")
     return ManufacturedCase(phi, _sym_part(coeffs, 1.0, lam)[0])
 
 

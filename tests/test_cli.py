@@ -7,11 +7,14 @@ part in the comparison.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
+import re
 import time
 import warnings
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -49,6 +52,24 @@ def run_json(argv):
     return code, report
 
 
+def _camel_keys(tree):
+    """tree with every dict key in camelCase: each run of underscores is dropped
+    and the character after it upper-cased."""
+    if isinstance(tree, dict):
+        return {re.sub(r"_+(.?)", lambda m: m.group(1).upper(), key): _camel_keys(value)
+                for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_camel_keys(item) for item in tree]
+    return tree
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    per_face: tuple
+    lhs_value: Fraction
+    ratio: float
+
+
 def test_render_json_writes_what_json_dumps_writes():
     from gma.cli import _render_json
 
@@ -57,9 +78,29 @@ def test_render_json_writes_what_json_dumps_writes():
         [], {}, [[]], [{}], {"a": {}}, {"a": []},
         {"b": {"d": [1, 2.5, None, True, False, "x"], "c": {}}, "a": [[], [{}], {"k": [[1]]}]},
         {"\u00fc": "\u00e9\n\"\\\u2028\x00\t", "Z": 1, "_": 2, "a": 3, "10": 4, "9": 5},
+        {"per_index_load": {"a__b": 1, "x_": 2, "_y": 3}, "b_c_d": [{"e_f": None}]},
     ]
     for tree in trees:
-        assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+        assert _render_json(tree) == json.dumps(_camel_keys(tree), sort_keys=True, indent=2)
+    # (report value, the plain JSON tree it stands for)
+    record = _Record(({"face_id": 1},), Fraction(-2, 6), math.inf)
+    cases = [
+        (record, {"perFace": [{"faceId": 1}], "lhsValue": "-1/3", "ratio": None}),
+        ({"rows": [record]}, {"rows": [{"perFace": [{"faceId": 1}], "lhsValue": "-1/3",
+                                        "ratio": None}]}),
+        ((1, (2.5, "x"), ()), [1, [2.5, "x"], []]),
+        ([Fraction(1, 3), Fraction(4), Fraction(-7, 1)], ["1/3", "4", "-7"]),
+        ([math.inf, -math.inf, math.nan, {"v": -math.inf}], [None, None, None, {"v": None}]),
+        ([np.float64(1.5), np.float32(0.1), np.int64(-3), np.uint8(7)],
+         [1.5, float(np.float32(0.1)), -3, 7]),
+        ([np.bool_(True), np.bool_(False), np.float64(np.inf), np.float64(np.nan)],
+         [True, False, None, None]),
+        (np.array([[1.0, np.inf], [np.nan, -0.0]]), [[1.0, None], [None, -0.0]]),
+        ({"a": np.array([], dtype=float), "b": np.array(2.5), "c": np.arange(3)},
+         {"a": [], "b": 2.5, "c": [0, 1, 2]}),
+    ]
+    for value, plain in cases:
+        assert _render_json(value) == json.dumps(plain, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +133,15 @@ def test_kernel_fm_frozen_floor(tmp_path):
 def test_kernel_fm_large_n_uses_closed_form_eigenvalue(tmp_path, monkeypatch):
     import gma.kernel
 
-    def refuse(n, zeta):
+    def refuse(*args):
         raise AssertionError("subset enumeration reached")
 
-    monkeypatch.setattr(gma.kernel, "subset_avoidance_matrix", refuse)
     c = [0.0] * 39
     c[19] = 1.0
     cfg = write_config(tmp_path, {"schemaVersion": 1, "n": 40, "c": c, "ratio": 1.0})
-    code, report = run_json(["kernel", "fm", "--config", cfg])
+    with monkeypatch.context() as patched:  # C(38, 19) subsets: none may be enumerated
+        patched.setattr(gma.kernel.itertools, "combinations", refuse)
+        code, report = run_json(["kernel", "fm", "--config", cfg])
     assert code == 0
     assert report["kConstant"] == 0.99 * math.comb(38, 19)
 
@@ -569,7 +611,6 @@ def test_toric_check_failing_instance_exits_3(tmp_path):
 
 
 def test_toric_float_fields_past_the_float_range_read_null(tmp_path):
-    from fractions import Fraction
     from itertools import product
 
     from gma.toric import ClassPolytopePair, RationalPolytope, check_criterion
@@ -610,8 +651,13 @@ def test_toric_tetrahedra_at_10_to_the_200_report_without_a_traceback(tmp_path):
 
 @pytest.mark.parametrize(
     "labels, bad",
-    [({"9,9": "bogus", "0,-2": "typo"}, "(9, 9)"), ({"0,-2": "typo"}, "(0, -2)")],
-    ids=["not-a-normal", "not-primitive"],
+    [
+        ({"9,9": "bogus", "0,-2": "typo"}, "(9, 9) is not a facet normal"),
+        ({"0,-2": "typo"}, "(0, -2) is not a facet normal"),
+        ({"a,b": "typo"}, "'a,b' is not a comma-separated integer normal"),
+        ({"": "typo"}, "'' is not a comma-separated integer normal"),
+    ],
+    ids=["not-a-normal", "not-primitive", "not-integers", "empty-key"],
 )
 def test_toric_unknown_face_label_exits_2(tmp_path, labels, bad):
     unit = [[0, 0], [1, 0], [0, 1]]
@@ -620,7 +666,7 @@ def test_toric_unknown_face_label_exits_2(tmp_path, labels, bad):
     code, out, err = run_cli(["toric", "check", "--config", cfg])
     assert code == 2
     assert out == ""
-    assert err == f"gma: faceLabels: {bad} is not a facet normal\n"
+    assert err == f"gma: faceLabels: {bad}\n"
 
 
 def test_toric_fan_mismatch_exits_2(tmp_path):
@@ -825,6 +871,12 @@ STAGE_KEYS = ["minConeMargin", "newtonIterations", "residualSup", "slack", "t"]
         pytest.param("solve manufacture", MANUFACTURE_CONFIG, 0,
                      {"": ["c0", "classDefect", "fMean", "fMin", "schemaVersion"]},
                      id="solve-manufacture"),
+        pytest.param("solve manufacture",
+                     {**MANUFACTURE_CONFIG, "gridShape": [16, 16], "omega0": IDENTITY2,
+                      "phi": {"terms": [{"amplitude": 1.0, "wave": [1, 0]}]}}, 1,
+                     {"": ["error", "schemaVersion"],
+                      "error": ["message", "type", "value"]},
+                     id="solve-manufacture-error"),
         pytest.param("solve classpath", CLASSPATH_CONFIG, 0,
                      {"": ["rows", "schemaVersion", "upwardClosed"],
                       "rows[*]": ["error", "minConeMargin", "residualSup", "s",

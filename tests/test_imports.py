@@ -1,6 +1,7 @@
 """Module boundaries: no gma module imports another module's private names,
 no gma module loads scipy or jsonschema, every public name is listed where it is defined,
-and the benchmark tracer still finds every entry point it wraps by name."""
+every public kernel name is run by gma or gated by the acceptance tests, and the
+benchmark tracer still finds every entry point it wraps by name."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import gma
+import gma.kernel
 import gma.solver
 from gma.kernel import CoefficientSet
 
@@ -83,6 +85,32 @@ def test_public_names_resolve():
             if fn.__module__ == module.__name__ and not n.startswith("_")
         }
         assert sorted(defined - set(module.__all__)) == [], name
+
+
+def _names_read(source):
+    """Names a module's code reads, as a name or an attribute; a top-level
+    definition's uses of its own name do not count."""
+    found = set()
+    for statement in ast.parse(source).body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                found.add(name)
+    return found
+
+
+def test_every_public_kernel_name_is_run_or_gated():
+    # a test-only oracle belongs in tests/kernel_oracle.py, not in gma.kernel
+    root = Path(__file__).resolve().parents[1]
+    read = set().union(*(_names_read(path.read_text(encoding="utf-8"))
+                         for path in (root / "src" / "gma").glob("*.py")))
+    gate = ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    gated = {alias.name for node in ast.walk(gate)
+             if isinstance(node, ast.ImportFrom) and node.module == "gma.kernel"
+             for alias in node.names}
+    assert _names_read("def f():\n    f()\n\ndef g():\n    h.f\n") == {"f", "h"}
+    assert sorted(set(gma.kernel.__all__) - read - gated) == []
 
 
 def test_package_imports_without_scipy(child_env):

@@ -8,6 +8,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from kernel_oracle import (
+    euler_weighted_sum,
+    operator_gradient,
+    operator_value,
+    restricted_coefficients,
+    restriction_identity,
+    subset_avoidance_matrix,
+    wedge_density_oracle,
+)
 
 from gma.kernel import (
     CoefficientSet,
@@ -18,17 +27,10 @@ from gma.kernel import (
     elem_sym_deleted,
     elem_sym_deleted_all,
     elem_sym_table,
-    euler_weighted_sum,
     margin_field,
     maclaurin_chain,
     min_avoidance_eigenvalue,
-    operator_gradient,
-    operator_value,
-    restricted_coefficients,
-    restriction_identity,
     source_floor,
-    subset_avoidance_matrix,
-    wedge_density_oracle,
 )
 
 REL = 1e-12

@@ -12,17 +12,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from gma.kernel import (
-    CoefficientSet,
-    EigenProfile,
-    cone_margin,
+from kernel_oracle import (
     euler_weighted_sum,
     operator_gradient,
     operator_value,
     sample_cone_profiles,
-    source_floor,
 )
+
+from gma.kernel import CoefficientSet, EigenProfile, cone_margin, source_floor
 
 N_SAMPLES = 500
 

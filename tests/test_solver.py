@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from kernel_oracle import operator_value
 
 from gma import solver
 from gma.exceptions import (
@@ -19,7 +20,7 @@ from gma.exceptions import (
     MaxIterationsError,
     StepUnderflowError,
 )
-from gma.kernel import CoefficientSet, elem_sym, operator_value
+from gma.kernel import CoefficientSet, elem_sym
 from gma.solver import (
     ClassPathReport,
     TorusGeometry,
