@@ -139,7 +139,7 @@ def test_kernel_fm_large_n_uses_closed_form_eigenvalue(tmp_path, monkeypatch):
     c = [0.0] * 39
     c[19] = 1.0
     cfg = write_config(tmp_path, {"schemaVersion": 1, "n": 40, "c": c, "ratio": 1.0})
-    with monkeypatch.context() as patched:  # C(38, 19) subsets: none may be enumerated
+    with monkeypatch.context() as patched:  # C(40, 20) subsets: none may be enumerated
         patched.setattr(gma.kernel.itertools, "combinations", refuse)
         code, report = run_json(["kernel", "fm", "--config", cfg])
     assert code == 0
