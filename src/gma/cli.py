@@ -22,8 +22,8 @@ separate ``timings.json`` next to ``report.json`` and any grid
 artifacts, so repeated runs with the same config and seed are
 byte-identical on stdout and in ``report.json``.
 
-numpy-backed modules are imported inside the handlers so that
-``--threads`` can pin the BLAS/OpenMP thread pools first.
+numpy-backed modules are imported inside the handlers, so numpy never
+loads for ``toric check`` or for a config that is rejected.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -45,12 +44,6 @@ from pathlib import Path
 from .exceptions import CompatibilityError, ConeBreachError, FanMismatchError, GmaError
 from .schemas import SCHEMA_VERSION, SchemaError, validate
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 _CSV_COMMANDS = {("psh", "lelong"), ("solve", "classpath")}
 
 
@@ -518,7 +511,6 @@ def _build_parser():
     common.add_argument("--config", required=True, help="path to a JSON config")
     common.add_argument("--out", help="directory for report.json, timings.json, grids")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--threads", type=int, help="pin BLAS/OpenMP thread count")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(
@@ -541,11 +533,15 @@ def _warning_line(message, category, filename, lineno, file=None, line=None):
     print(f"gma: warning: {message}", file=sys.stderr)
 
 
+def _reject_constant(name):
+    """json's hook for NaN, Infinity and -Infinity, which JSON has no literal for."""
+    raise SchemaError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def _write_outputs(out_dir, rendered_json, artifacts, wall_seconds):
     from .gridio import write_grid
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(rendered_json + "\n")
     (out / "timings.json").write_text(
         _render_json({"wallSeconds": wall_seconds}) + "\n"
@@ -556,13 +552,6 @@ def _write_outputs(out_dir, rendered_json, artifacts, wall_seconds):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("gma: --threads must be positive", file=sys.stderr)
-            return 2
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
-
     key = (args.command, args.subcommand)
     if args.format == "csv" and key not in _CSV_COMMANDS:
         print(f"gma: csv output not supported for {' '.join(key)}", file=sys.stderr)
@@ -572,12 +561,17 @@ def main(argv=None):
     try:
         config_path = Path(args.config)
         try:
-            config = json.loads(config_path.read_text())
+            config = json.loads(config_path.read_text(), parse_constant=_reject_constant)
         except OSError as exc:
             raise SchemaError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from None
         validate(args.command, args.subcommand, config)
+        if args.out:
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"cannot create --out directory: {exc}") from None
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
             report, artifacts, code = _HANDLERS[key](config, args, config_path.parent)

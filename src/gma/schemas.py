@@ -95,7 +95,7 @@ _KERNEL_CHOICE = {
     "required": ["type"],
     "additionalProperties": False,
 }
-# the 3-D hull search costs about C(V,3) V: about 0.15 s at 32 random vertices, 2-3 s at 64
+# the 3-D hull search costs about C(V,3) V: about 0.05 s at 32 random vertices, 0.5-0.9 s at 64
 _VERTICES = {
     "type": "array",
     "items": {"type": "array", "items": _RATIONAL, "minItems": 1, "maxItems": 3},

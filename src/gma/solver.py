@@ -22,8 +22,7 @@ L^{-T} (chi = L L^T), whose eigenvalues are those of chi^{-1} Omega_phi.
 Every symmetric field there (M, the Newton step dM, the derivative P) is
 held as its n(n+1)/2 upper-triangle components stacked on a leading axis,
 and one fold matrix maps a form's components to its chi-reduction's; the
-grid + (n, n) form appears only in `form_eigenvalues` and
-`potential_hessian`.
+grid + (n, n) form appears only in `form_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .kernel import CoefficientSet, elem_sym_all, margin_field, source_floor
 __all__ = [
     "TorusGeometry",
     "trig_polynomial",
-    "potential_hessian",
     "eigenvalue_field",
     "form_eigenvalues",
     "residual",
@@ -133,9 +131,6 @@ class TorusGeometry:
             np.arange(s, dtype=float) / s for s in self.grid_shape
         )
 
-    def mesh(self):
-        return np.meshgrid(*self.axes(), indexing="ij")
-
     # Per-geometry constants, computed on first use.  cached_property
     # stores into the instance __dict__, which the frozen dataclass allows.
 
@@ -186,7 +181,6 @@ class TorusGeometry:
             out.append(k.reshape([-1 if b == a else 1 for b in range(self.n)]))
         return tuple(out)
 
-    @functools.cached_property
     def _quarter_symbols(self):
         """Half-spectrum symbols of (1/4) d_a d_b in the geometry's scheme,
         stacked over pairs a <= b.
@@ -217,7 +211,7 @@ class TorusGeometry:
     @functools.cached_property
     def _reduced_symbols(self):
         """Half-spectrum symbols of L^{-1} (1/4) Hess L^{-T}, stacked over pairs."""
-        return self._reduce(self._quarter_symbols)
+        return self._reduce(self._quarter_symbols())
 
 
 def _checked_grid(values, shape, name):
@@ -285,12 +279,6 @@ def _reduced_hessian(geom, values):
 def _reduced_field(geom, values):
     """Components of M = L^{-1} Omega_phi L^{-T}; its eigenvalues are chi^{-1} Omega_phi's."""
     return _reduced_hessian(geom, values) + geom._reduced_omega0
-
-
-def potential_hessian(geom, phi):
-    """Second derivative field of the potential, shape grid + (n, n)."""
-    comps = _filter(geom, _canonical(phi, geom.grid_shape), geom._quarter_symbols)
-    return np.moveaxis(4.0 * comps[geom._pair_index], (0, 1), (-2, -1))
 
 
 _JACOBI_SWEEPS = 4

@@ -32,12 +32,10 @@ __all__ = [
     "ClassPolytopePair",
     "FaceRow",
     "CriterionReport",
-    "volume",
     "mixed_volume",
     "minkowski_sum",
     "intersection_number",
     "check_criterion",
-    "jequation_constant",
 ]
 
 
@@ -222,10 +220,6 @@ class RationalPolytope:
             if len(holders[active]) > dim - len(active)
         }
 
-    @property
-    def facet_normals(self):
-        return frozenset(self._heights)
-
     def tight_vertices(self, direction):
         values = [_dot(direction, v) for v in self._exact]
         h = max(values)
@@ -306,11 +300,6 @@ def _minkowski_volume(polys):
     return total
 
 
-def volume(P):
-    """Exact rational volume."""
-    return _minkowski_volume([P])
-
-
 def minkowski_sum(P, Q):
     """Exact Minkowski sum (hull of pairwise vertex sums)."""
     if P.dim != Q.dim:
@@ -320,7 +309,7 @@ def minkowski_sum(P, Q):
 
 def mixed_volume(polys):
     """Mixed volume of dim polytopes in dimension dim, normalized so that
-    mixed_volume([P] * dim) = volume(P).
+    mixed_volume([P] * dim) = Vol(P).
 
     Evaluated by polarization of the volume polynomial of Minkowski sums:
     MV = (1/d!) sum over subsets S of (-1)^{d-|S|} Vol(sum of S).
@@ -530,11 +519,3 @@ def check_criterion(pair, c):
         worst_face=worst.face_id,
         compatibility_value=compat,
     )
-
-
-def jequation_constant(pair, k):
-    """Normalizing constant int Omega^n / int Omega^{n-k} chi^k."""
-    n = pair.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
-    return intersection_number(pair, None, n, 0) / intersection_number(pair, None, n - k, k)

@@ -39,16 +39,17 @@ def child_env():
 def run_gma_cli():
     """Run ``python -m gma.cli ARGV`` in a child interpreter.
 
-    Returns a function ``run(argv, cwd=None)`` giving the finished
-    ``subprocess.CompletedProcess`` with text stdout and stderr.
+    Returns a function ``run(argv, cwd=None, **variables)`` giving the
+    finished ``subprocess.CompletedProcess`` with text stdout and stderr;
+    each keyword sets one environment variable of the child.
     """
     env = _child_env()
 
-    def run(argv, cwd=None):
+    def run(argv, cwd=None, **variables):
         return subprocess.run(
             [sys.executable, "-m", "gma.cli", *argv],
             cwd=cwd,
-            env=env,
+            env={**env, **variables},
             capture_output=True,
             text=True,
             check=False,

@@ -12,6 +12,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -329,14 +331,18 @@ def test_csv_unsupported_command_exits_2(tmp_path):
     assert "csv" in err
 
 
-def test_nonpositive_threads_exits_2(tmp_path):
+def test_uncreatable_out_directory_exits_2(tmp_path):
+    # the directory is made before the handler runs, so no report reaches stdout
     cfg = write_config(
         tmp_path, {"schemaVersion": 1, "n": 2, "c": [1.0], "lambda": [1.0, 2.0]}
     )
-    code, out, err = run_cli(
-        ["kernel", "cone", "--config", cfg, "--threads", "0"]
-    )
-    assert code == 2 and out == ""
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    code, out, err = run_cli(["kernel", "cone", "--config", cfg, "--out", str(taken)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gma: cannot create --out directory: ") and err.count("\n") == 1
+    assert taken.read_text() == "a file, not a directory"
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +361,19 @@ def solve_config(**extra):
     }
     base.update(extra)
     return base
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command, key", [("solve run", "tolerance"), ("kernel fm", "ratio")])
+def test_non_json_number_constants_exit_2(tmp_path, command, key, constant):
+    # JSON has no literal for NaN or infinity
+    config = solve_config() if command == "solve run" else FM_CONFIG
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, key: float(constant)}))
+    code, out, err = run_cli([*command.split(), "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"gma: config is not valid JSON: {constant} is not a JSON number\n"
 
 
 MANUFACTURE_PHI = {
@@ -1065,13 +1084,20 @@ def test_huge_sources_end_with_a_named_gma_error(tmp_path, amplitude):
 # ---------------------------------------------------------------------------
 
 def test_cli_stdout_and_artifacts_are_deterministic(tmp_path, run_gma_cli):
-    cfg = write_config(tmp_path, solve_config())
+    # byte-identical at one and at two BLAS threads, on a 128^2 grid whose
+    # vectors are long enough for OpenBLAS to thread a reduction
+    cfg = write_config(tmp_path, solve_config(
+        gridShape=[128, 128],
+        omega0=[[2.0, 0.0], [0.0, 2.0]],
+        f={"constant": 2.0, "terms": [{"amplitude": 0.3, "wave": [1, 0]},
+                                      {"amplitude": 0.2, "wave": [1, 2], "phase": 0.5}]},
+    ))
     runs = []
-    for tag in ("a", "b"):
-        out_dir = tmp_path / f"out_{tag}"
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"out_{threads}"
         proc = run_gma_cli(
-            ["solve", "run", "--config", cfg, "--out", str(out_dir), "--threads", "1"],
-            cwd=tmp_path,
+            ["solve", "run", "--config", cfg, "--out", str(out_dir)],
+            cwd=tmp_path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
         )
         assert proc.returncode == 0, proc.stderr
         runs.append((proc.stdout, out_dir))
@@ -1112,20 +1138,21 @@ def test_identities_seed_changes_report_but_stays_deterministic(
     assert first.stdout != other.stdout
 
 
-def test_threads_flag_pins_environment(tmp_path, monkeypatch):
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        monkeypatch.delenv(var, raising=False)
-    cfg = write_config(
-        tmp_path, {"schemaVersion": 1, "n": 2, "c": [1.0], "lambda": [1.0, 2.0]}
+def test_toric_check_and_rejected_configs_do_not_load_numpy(tmp_path, child_env):
+    # why the handlers import the numpy-backed modules themselves
+    cone = {"schemaVersion": 1, "n": 2, "c": [1.0], "lambda": [1.0, 2.0]}
+    probe = (
+        "import contextlib, io, sys\nfrom gma.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)\n"
     )
-    code, _, _ = run_cli(["kernel", "cone", "--config", cfg, "--threads", "2"])
-    assert code == 0
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    for name, config, expected in [
+        ("toric", TORIC_PASSING, "0 False"),
+        ("rejected", {**cone, "bogus": 1}, "2 False"),
+        ("cone", cone, "0 True"),  # the probe sees numpy where a handler loads it
+    ]:
+        cfg = write_config(tmp_path, config, f"{name}.json")
+        command = ["toric", "check"] if name == "toric" else ["kernel", "cone"]
+        done = subprocess.run([sys.executable, "-c", probe, *command, "--config", cfg],
+                              env=child_env, capture_output=True, text=True, check=False)
+        assert done.stdout == expected + "\n", (name, done.stderr)
