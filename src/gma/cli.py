@@ -12,6 +12,9 @@ uses exit codes to separate outcome classes:
       parameters, mismatched polytope fans); message on stderr only
 * 3 - the toric criterion evaluated cleanly and failed; the full report
       is printed
+* 141 - stdout was closed before the report was written (128 + SIGPIPE,
+      the status a shell gives a pipeline stage that a closed pipe ends);
+      no traceback, and ``--out`` files are still written
 
 A warning raised while a subcommand runs (for example a source below the
 guaranteed floor) goes to stderr as one line ``gma: warning: <message>``,
@@ -158,16 +161,35 @@ def _render_csv(key, report):
 # config -> objects
 # ---------------------------------------------------------------------------
 
-def _given(config, convert, **keys):
-    """{keyword: convert(config[key])} for each keyword=key the config sets;
+def _number(value, key):
+    """A config number as a float, or nested lists of them as lists of floats.
+
+    JSON integers have no size limit, so one past the float range is a
+    ValueError that names its key, as is a non-finite result.
+    """
+    if isinstance(value, list):
+        return [_number(v, key) for v in value]
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"config key {key!r} holds a number outside the float range")
+    return number
+
+
+def _given(config, convert=_number, **keys):
+    """{keyword: convert(config[key], key)} for each keyword=key the config sets;
     an unset key passes nothing, so the callee's own default applies."""
-    return {kw: convert(config[key]) for kw, key in keys.items() if key in config}
+    return {kw: convert(config[key], key) for kw, key in keys.items() if key in config}
 
 
 def _trig_grid(shape, spec):
     from .solver import trig_polynomial
 
-    return trig_polynomial(shape, spec.get("constant", 0.0), spec.get("terms", ()))
+    terms = [{**term, **_given(term, amplitude="amplitude", phase="phase")}
+             for term in spec.get("terms", ())]
+    return trig_polynomial(shape, _number(spec.get("constant", 0.0), "constant"), terms)
 
 
 def _geometry(config):
@@ -179,11 +201,11 @@ def _geometry(config):
     geom = TorusGeometry(
         int(config["n"]),
         tuple(int(m) for m in config["gridShape"]),
-        np.array(config["chi"], dtype=float),
-        np.array(config["omega0"], dtype=float),
-        **_given(config, str, scheme="scheme"),
+        np.array(_number(config["chi"], "chi")),
+        np.array(_number(config["omega0"], "omega0")),
+        **_given(config, lambda scheme, key: scheme, scheme="scheme"),
     )
-    coeffs = CoefficientSet(geom.n, tuple(float(v) for v in config["c"]))
+    coeffs = CoefficientSet(geom.n, tuple(_number(config["c"], "c")))
     return geom, coeffs
 
 
@@ -218,21 +240,22 @@ def _potential(config):
 
         model = spec["smooth"]
         if model["type"] == "constant":
-            value = float(model["value"])
+            value = _number(model["value"], "value")
 
             def smooth(points):
                 return np.full(np.asarray(points).shape[:-1], value)
 
         else:  # quadratic: a * |x|^2
-            a = float(model["coefficient"])
+            a = _number(model["coefficient"], "coefficient")
 
             def smooth(points):
                 pts = np.asarray(points, dtype=float)
                 return a * np.sum(pts**2, axis=-1)
 
     return SingularPotential(
-        float(spec["gamma"]), tuple(spec["center"]), smooth,
-        **_given(config, lambda d: Box(tuple(d["lo"]), tuple(d["hi"])), domain="domain"),
+        _number(spec["gamma"], "gamma"), tuple(_number(spec["center"], "center")), smooth,
+        **_given(config, lambda d, key: Box(tuple(_number(d["lo"], key)),
+                                            tuple(_number(d["hi"], key))), domain="domain"),
     )
 
 
@@ -253,17 +276,18 @@ def _handle_kernel_cone(config, args, config_dir):
 
     from .kernel import CoefficientSet, cone_margin
 
-    coeffs = CoefficientSet(int(config["n"]), tuple(float(v) for v in config["c"]))
-    rep = cone_margin(coeffs, float(config.get("t", 1.0)), np.array(config["lambda"]))
+    coeffs = CoefficientSet(int(config["n"]), tuple(_number(config["c"], "c")))
+    rep = cone_margin(coeffs, _number(config.get("t", 1.0), "t"),
+                      np.array(_number(config["lambda"], "lambda")))
     return rep, {}, 0
 
 
 def _handle_kernel_fm(config, args, config_dir):
     from .kernel import CoefficientSet, source_floor
 
-    coeffs = CoefficientSet(int(config["n"]), tuple(float(v) for v in config["c"]))
+    coeffs = CoefficientSet(int(config["n"]), tuple(_number(config["c"], "c")))
     budget = source_floor(
-        coeffs, float(config["ratio"]), **_given(config, float, k_safety="kSafety")
+        coeffs, _number(config["ratio"], "ratio"), **_given(config, k_safety="kSafety")
     )
     report = {
         "floor": budget.floor,
@@ -345,7 +369,7 @@ def _handle_solve_run(config, args, config_dir):
     geom, coeffs = _geometry(config)
     f_grid = _source_grid(config, geom, config_dir)
     state = continuity_solve(
-        geom, coeffs, f_grid, **_given(config, float, tol="tolerance", dt_init="dtInit")
+        geom, coeffs, f_grid, **_given(config, tol="tolerance", dt_init="dtInit")
     )
     report = {
         "c0": state.integrals.c0,
@@ -385,7 +409,7 @@ def _handle_solve_classpath(config, args, config_dir):
 
     geom, coeffs = _geometry(config)
     f_grid = _trig_grid(geom.grid_shape, config["f"])
-    probe = class_path_probe(geom, coeffs, f_grid, [float(s) for s in config["sList"]])
+    probe = class_path_probe(geom, coeffs, f_grid, _number(config["sList"], "sList"))
     return {"rows": probe.rows, "upwardClosed": probe.upward_closed}, {}, 0
 
 
@@ -431,12 +455,11 @@ def _handle_psh_mollify(config, args, config_dir):
     from .psh import mollify
 
     potential = _potential(config)
-    value = mollify(
-        potential, _mollifier(config, 1), float(config["delta"]), tuple(config["x"])
-    )
+    delta = _number(config["delta"], "delta")
+    value = mollify(potential, _mollifier(config, 1), delta, tuple(_number(config["x"], "x")))
     report = {
         "value": value,
-        "delta": float(config["delta"]),
+        "delta": delta,
         "x": list(config["x"]),
         "kernel": config["kernel"]["type"],
     }
@@ -449,9 +472,9 @@ def _handle_psh_lelong(config, args, config_dir):
     potential = _potential(config)
     result = lelong_level(
         potential,
-        tuple(config["x"]),
-        [float(d) for d in config["deltaList"]],
-        float(config["r"]),
+        tuple(_number(config["x"], "x")),
+        _number(config["deltaList"], "deltaList"),
+        _number(config["r"], "r"),
     )
     return result, {}, 0
 
@@ -474,11 +497,11 @@ def _handle_psh_glue(config, args, config_dir):
     rep = glue_potentials(
         geom,
         coeffs,
-        float(config.get("t", 1.0)),
+        _number(config.get("t", 1.0), "t"),
         local,
         global_,
-        float(config["eta"]),
-        float(config["offset"]),
+        _number(config["eta"], "eta"),
+        _number(config["offset"], "offset"),
     )
     report = _members(rep)
     artifacts = {"glued.grid": report.pop("glued")}
@@ -538,6 +561,32 @@ def _reject_constant(name):
     raise SchemaError(f"config is not valid JSON: {name} is not a JSON number")
 
 
+def _finite_float(literal):
+    """json's hook for a float literal: its float, unless it lies past the float range."""
+    number = float(literal)
+    if math.isinf(number):
+        raise SchemaError(f"config is not valid JSON: {literal} lies outside the float range")
+    return number
+
+
+_CLOSED_STDOUT = 141
+
+
+def _print(text):
+    """print(text) and flush; False when stdout is closed, which then points at
+    os.devnull so that the flush at exit cannot raise again (the recipe of
+    Python's `signal` documentation)."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
 def _write_outputs(out_dir, rendered_json, artifacts, wall_seconds):
     from .gridio import write_grid
 
@@ -561,7 +610,8 @@ def main(argv=None):
     try:
         config_path = Path(args.config)
         try:
-            config = json.loads(config_path.read_text(), parse_constant=_reject_constant)
+            config = json.loads(config_path.read_text(), parse_constant=_reject_constant,
+                                parse_float=_finite_float)
         except OSError as exc:
             raise SchemaError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
@@ -589,18 +639,17 @@ def main(argv=None):
         if isinstance(exc, ConeBreachError) and exc.value is not None:
             payload["error"]["value"] = float(exc.value)
         rendered = _render_json(payload)
-        print(rendered)
+        printed = _print(rendered)
         if args.out:
             _write_outputs(args.out, rendered, {}, time.perf_counter() - started)
-        return 1
+        return 1 if printed else _CLOSED_STDOUT
 
-    if args.format == "csv":
-        print(_render_csv(key, json.loads(rendered_json)))
-    else:
-        print(rendered_json)
+    printed = _print(
+        _render_csv(key, json.loads(rendered_json)) if args.format == "csv" else rendered_json
+    )
     if args.out:
         _write_outputs(args.out, rendered_json, artifacts, time.perf_counter() - started)
-    return code
+    return code if printed else _CLOSED_STDOUT
 
 
 if __name__ == "__main__":

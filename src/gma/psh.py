@@ -34,6 +34,7 @@ __all__ = [
     "regularized_max",
     "GlueReport",
     "glue_potentials",
+    "UniformConeRow",
     "UniformConeReport",
     "check_uniform_cone",
 ]
@@ -376,10 +377,22 @@ VIOLATION = "violation found"
 
 
 @dataclass(frozen=True)
+class UniformConeRow:
+    """The least cone margin of the field mollified at scale delta, shifted by
+    mu chi and compared with scaling * chi, and the grid point where it falls."""
+
+    delta: float
+    scaling: float
+    mu: float
+    min_margin: float
+    argmin: tuple | None
+
+
+@dataclass(frozen=True)
 class UniformConeReport:
     epsilon: float
     worst_margin: float
-    rows: tuple
+    rows: tuple  # UniformConeRow records
     passed: bool
     verdict: str
 
@@ -442,10 +455,7 @@ def check_uniform_cone(geom, coeffs, t, field, epsilon, delta_list,
             argmin = np.unravel_index(np.argmin(margins), margins.shape)
             min_margin = float(margins[argmin])
             argmin = tuple(int(i) for i in argmin) if min_margin > -math.inf else None
-            rows.append(
-                {"delta": delta, "scaling": s, "mu": mu,
-                 "min_margin": min_margin, "argmin": argmin}
-            )
+            rows.append(UniformConeRow(delta, s, mu, min_margin, argmin))
             worst = min(worst, min_margin)
     passed = worst >= epsilon
     return UniformConeReport(

@@ -38,6 +38,7 @@ import numpy as np
 from .exceptions import (
     CompatibilityError,
     ConeBreachError,
+    GmaError,
     LinearSolveStallError,
     MaxIterationsError,
     StepUnderflowError,
@@ -52,7 +53,11 @@ __all__ = [
     "residual",
     "ConeMarginReport",
     "cone_margin_field",
+    "LinearizedResidual",
     "linearize",
+    "NewtonStep",
+    "Stage",
+    "Attempt",
     "SolveState",
     "newton_solve",
     "continuity_solve",
@@ -60,6 +65,7 @@ __all__ = [
     "cohomology_integrals",
     "ManufacturedCase",
     "manufacture",
+    "ClassPathRow",
     "ClassPathReport",
     "class_path_probe",
 ]
@@ -78,8 +84,9 @@ def _check_spd(M, name):
     return 0.5 * (M + M.T)
 
 
-# About 350 B per grid point plus 8 B per GMRES basis vector, ~860 B at the
-# full basis of 64, so 2**22 points take ~3.6 GB; more are refused up front.
+# A solve holds about 356 B per grid point for n = 2 and 550 B for n = 3 before
+# the Krylov basis, which adds 8 B per vector: ~870 B and ~1.1 kB at the full
+# basis of 64, so 2**22 points take ~3.6 GB and ~4.5 GB; more are refused up front.
 _MAX_POINTS = 2**22
 
 
@@ -655,6 +662,49 @@ def _newton_step(geom, lin, res, rtol):
     return dphi, comps, ds, iterations, linear_residual
 
 
+@dataclass(frozen=True)
+class NewtonStep:
+    """One accepted damped Newton step: the residual after it, the accepted
+    damping factor, its line-search trials and how many of them left the
+    cone, the GMRES iterations, the true relative residual GMRES reached and
+    the forcing term it was given."""
+
+    iteration: int
+    residual_sup: float
+    step_factor: float
+    trials: int
+    cone_rejections: int
+    gmres_iterations: int
+    linear_residual: float
+    forcing: float
+
+
+@dataclass(frozen=True)
+class Stage:
+    """An accepted stage of the continuity path."""
+
+    t: float
+    residual_sup: float
+    min_cone_margin: float
+    slack: float
+    newton_iterations: int
+
+
+@dataclass(frozen=True)
+class Attempt:
+    """One `newton_solve` call of the continuity path: its stage t_try, the
+    step dt it was tried with (0 at the start t = 0), "accepted" or the name
+    of the GmaError it raised with that error's message, its Newton steps,
+    and its stage when accepted."""
+
+    t_try: float
+    dt: float
+    outcome: str
+    message: str
+    steps: tuple
+    stage: Stage | None = None
+
+
 @dataclass
 class SolveState:
     phi: np.ndarray
@@ -662,8 +712,8 @@ class SolveState:
     slack: float
     residual_sup: float
     min_cone_margin: float
-    newton_trace: list
-    stages: list = field(default_factory=list)
+    newton_trace: list  # NewtonStep records
+    stages: list = field(default_factory=list)  # Stage records of the accepted attempts
     integrals: CohomologyIntegrals | None = None
 
 
@@ -705,6 +755,7 @@ def newton_solve(
     slack0=0.0,
     tol=1e-10,
     max_iter=50,
+    steps=None,
 ):
     """Damped Newton for the stage-t equation with slack and mean-zero phi.
 
@@ -728,10 +779,9 @@ def newton_solve(
     Theta_k = |F_{k+1}|_inf / |F_k|_inf > 1/2 raises MaxIterationsError
     naming Theta_k.
 
-    Each newton_trace entry records the iteration, the residual after the
-    step, the accepted damping factor, the line-search trials, how many of
-    them left the cone, the GMRES iterations of the step, the true
-    relative residual GMRES reached and the forcing term it was given.
+    Each accepted step appends a `NewtonStep` to newton_trace.  A caller
+    that passes an empty list as steps gets that list as newton_trace, and
+    keeps the steps of a solve that raises.
 
     `continuity_solve` passes phi0 as a `_Start`, the canonical potential of
     a stage with its reduced field and eigenvalues, evaluated once per stage
@@ -751,7 +801,9 @@ def newton_solve(
             value=float(margin.min()),
         )
     res, floor = _residual_from_lam(coeffs, t, f, lam, slack)
-    trace = []
+    trace = [] if steps is None else steps
+    if trace:
+        raise ValueError("newton_solve: steps must be an empty list")
     res_sup = float(np.abs(res).max())
     stop = max(tol, floor)
     while res_sup > stop:
@@ -789,14 +841,10 @@ def newton_solve(
             raise MaxIterationsError(
                 "newton_solve: line search failed to reduce the residual"
             )
-        trace.append(
-            {"iteration": len(trace), "residual_sup": res_sup, "step_factor": alpha,
-             "trials": trials, "cone_rejections": cone_rejections,
-             "gmres_iterations": gmres_iterations, "linear_residual": linear_residual,
-             "forcing": forcing}
-        )
+        trace.append(NewtonStep(len(trace), res_sup, alpha, trials, cone_rejections,
+                                gmres_iterations, linear_residual, forcing))
         if len(trace) > 1 and res_sup > stop:
-            theta = res_sup / trace[-2]["residual_sup"]
+            theta = res_sup / trace[-2].residual_sup
             if theta > 0.5:
                 raise MaxIterationsError(f"newton_solve: contraction {theta:.3f} > 0.5")
     return SolveState(phi, t, slack, res_sup, float(margin.min()), trace)
@@ -911,13 +959,13 @@ def _predicted_crossing(stages):
     accepted stages reaches zero, or None unless that margin is falling."""
     if len(stages) < 2:
         return None
-    (t0, m0), (t1, m1) = ((s["t"], s["min_cone_margin"]) for s in stages[-2:])
+    (t0, m0), (t1, m1) = ((s.t, s.min_cone_margin) for s in stages[-2:])
     if not m1 < m0:
         return None
     return t1 + m1 * (t1 - t0) / (m0 - m1)
 
 
-def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
+def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0, attempts=None):
     """March the interpolation parameter from 0 to 1.
 
     The constant c0 comes from the class integrals, which the returned
@@ -949,6 +997,10 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
     once, by the first attempt from it, and every retry reuses them; the
     t = 0 stage is the constant background, whose field is evaluated at one
     point.
+
+    Every `newton_solve` call, the one at t = 0 included, appends an
+    `Attempt` to attempts, a list the caller may pass to keep them when
+    the path raises; the returned stages are those of the accepted attempts.
     """
     if not dt_init >= _DT_MIN:
         raise ValueError(f"continuity_solve: dt_init must be at least {_DT_MIN:g}")
@@ -967,18 +1019,23 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
     coeffs = coeffs.with_c0(integrals.c0)
     _validate_source_regime(coeffs, f, integrals.c0)
 
-    def stage_record(t_val, st):
-        return {
-            "t": t_val,
-            "residual_sup": st.residual_sup,
-            "min_cone_margin": st.min_cone_margin,
-            "slack": st.slack,
-            "newton_iterations": len(st.newton_trace),
-        }
+    attempts = [] if attempts is None else attempts
+    stages = []
+
+    def attempt(t_try, dt, phi0, slack0):
+        steps = []
+        try:
+            st = newton_solve(geom, coeffs, f, t_try, phi0=phi0, slack0=slack0, tol=tol,
+                              steps=steps)
+        except GmaError as exc:
+            attempts.append(Attempt(t_try, dt, type(exc).__name__, str(exc), tuple(steps)))
+            raise
+        stages.append(Stage(t_try, st.residual_sup, st.min_cone_margin, st.slack, len(steps)))
+        attempts.append(Attempt(t_try, dt, "accepted", "", tuple(steps), stages[-1]))
+        return st
 
     start = _Start.background(geom)
-    state = newton_solve(geom, coeffs, f, 0.0, phi0=start, tol=tol)
-    stages = [stage_record(0.0, state)]
+    state = attempt(0.0, 0.0, start, 0.0)
     t = 0.0
     dt = dt_init
     streak = 0
@@ -987,15 +1044,13 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
         if start is None:  # the first attempt from a stage evaluates its start
             start = _Start.at(geom, _canonical(state.phi))
         try:
-            trial = newton_solve(
-                geom, coeffs, f, t_try, phi0=start, slack0=state.slack, tol=tol
-            )
+            trial = attempt(t_try, dt, start, state.slack)
         except (ConeBreachError, MaxIterationsError, LinearSolveStallError):
             crossing = _predicted_crossing(stages)
             if crossing is not None and crossing <= t_try and crossing - t <= _CROSSING_TOL:
                 raise StepUnderflowError(
                     f"continuity_solve: the path leaves the cone at t* = {crossing:.6f}, "
-                    f"predicted from the margin {stages[-1]['min_cone_margin']:.3e} "
+                    f"predicted from the margin {stages[-1].min_cone_margin:.3e} "
                     f"at t = {t:.6f}"
                 )
             dt *= 0.5
@@ -1008,7 +1063,6 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
         state = trial
         t = t_try
         start = None
-        stages.append(stage_record(t, state))
         streak += 1
         if streak >= 2:
             dt = min(2.0 * dt, dt_init)
@@ -1023,19 +1077,27 @@ def continuity_solve(geom, coeffs, f_grid, tol=1e-10, dt_init=1.0):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ClassPathRow:
+    """The path at class scale 1+s: the source shift, whether it solved, and
+    its end margin and residual, or the name of the error that stopped it."""
+
+    s: float
+    shift: float
+    solvable: bool
+    min_cone_margin: float | None
+    residual_sup: float | None
+    error: str | None
+
+
+@dataclass(frozen=True)
 class ClassPathReport:
-    rows: tuple  # dicts with keys s, shift, solvable, min_cone_margin, residual_sup, error
+    rows: tuple  # ClassPathRow records, ascending in s
 
     @property
     def upward_closed(self):
-        """Solvable set is upward closed in s."""
-        solvable_seen = False
-        for row in sorted(self.rows, key=lambda r: r["s"]):
-            if row["solvable"]:
-                solvable_seen = True
-            elif solvable_seen:
-                return False
-        return True
+        """Solvable set is upward closed in s: no unsolvable row after a solvable one."""
+        flags = [row.solvable for row in self.rows]
+        return flags == sorted(flags)
 
 
 def class_path_probe(geom, coeffs, f_grid, s_list):
@@ -1062,22 +1124,12 @@ def class_path_probe(geom, coeffs, f_grid, s_list):
         instances.append((s, a_s, geom_s))
     rows = []
     for s, a_s, geom_s in instances:
-        row = {"s": s, "shift": float(a_s)}
         try:
             state = continuity_solve(geom_s, coeffs, f + a_s)
-            row.update(
-                solvable=True,
-                min_cone_margin=state.min_cone_margin,
-                residual_sup=state.residual_sup,
-                error=None,
-            )
         except (ConeBreachError, MaxIterationsError, LinearSolveStallError,
                 StepUnderflowError, ValueError) as exc:
-            row.update(
-                solvable=False,
-                min_cone_margin=None,
-                residual_sup=None,
-                error=type(exc).__name__,
-            )
-        rows.append(row)
+            rows.append(ClassPathRow(s, float(a_s), False, None, None, type(exc).__name__))
+        else:
+            rows.append(ClassPathRow(s, float(a_s), True, state.min_cone_margin,
+                                     state.residual_sup, None))
     return ClassPathReport(tuple(rows))

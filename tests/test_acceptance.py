@@ -279,8 +279,8 @@ def test_criterion_4_solver(capsys):
     lin_rel = float(np.max(np.abs(diff - applied)) / np.max(np.abs(applied)))
 
     # (e) positive cone margin at every accepted stage
-    margins_ok = all(s["min_cone_margin"] > 0.0 for s in state.stages) and all(
-        s["min_cone_margin"] > 0.0 for s in state1.stages
+    margins_ok = all(s.min_cone_margin > 0.0 for s in state.stages) and all(
+        s.min_cone_margin > 0.0 for s in state1.stages
     )
 
     ok = (
@@ -321,7 +321,7 @@ def test_criterion_5_constant_path(capsys):
     ints = cohomology_integrals(geom, coeffs, f)
     state = continuity_solve(geom, coeffs, f)
     sup = float(np.max(np.abs(state.phi)))
-    resid_sup = max(s["residual_sup"] for s in state.stages)
+    resid_sup = max(s.residual_sup for s in state.stages)
     ok = ints.c0 == 1.0 and sup <= 1e-10 and resid_sup <= 1e-10
     _announce(
         capsys,
@@ -445,7 +445,7 @@ def test_criterion_7_psh(capsys):
         chi0_scalings=[1.0, 0.9, 0.5],
     )
     jensen_ok = jensen.passed and all(
-        row["min_margin"] >= 0.3 - 1e-10 for row in jensen.rows
+        row.min_margin >= 0.3 - 1e-10 for row in jensen.rows
     )
 
     rng = np.random.default_rng(7)

@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -32,7 +33,9 @@ IDENTITY2 = [[1.0, 0.0], [0.0, 1.0]]
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    # JSON has no literal for infinity: an infinite float is written as 1e999
+    # or -1e999, literals that parse past the float range
+    path.write_text(json.dumps(payload).replace("Infinity", "1e999"))
     # every config a test writes is a case of the differential test of the validator
     assert disagreements(json.loads(path.read_text())) == []
     return str(path)
@@ -1035,11 +1038,23 @@ def _edge_cases():
         cases[f"mollify-gamma-{v}"] = ("psh mollify", _edge(MOLLIFY_CONFIG, potential__gamma=v))
         cases[f"lelong-r-{v}"] = ("psh lelong", _edge(LELONG_CONFIG, r=v))
         cases[f"glue-eta-{v}"] = ("psh glue", _edge(glue, eta=v))
+    # past the float range: the literals 1e999 and -1e999 (see write_config)
+    # and a 401-digit integer, which JSON allows and float() cannot convert
+    for v in (math.inf, -math.inf):
+        cases[f"fm-ratio-{v:.0f}"] = ("kernel fm", _edge(FM_CONFIG, ratio=v))
+        cases[f"run-tolerance-{v:.0f}"] = ("solve run", _edge(solve, tolerance=v))
+    cases["fm-ratio-401-digits"] = ("kernel fm", _edge(FM_CONFIG, ratio=10**400))
+    cases["fm-c-401-digits"] = ("kernel fm", _edge(FM_CONFIG, c=[10**400]))
+    cases["cone-lambda-401-digits"] = ("kernel cone",
+                                       _edge(CONE_CONFIG, **{"lambda": [1.0, 10**400]}))
     return [pytest.param(command, config, id=name) for name, (command, config) in cases.items()]
 
 
 # edges with a known outcome: an exit code, or nothing on stderr
-EDGE_EXIT_CODES = {"run-f-amplitude-1e200": 1}
+PAST_THE_FLOAT_RANGE = {"fm-ratio-inf", "fm-ratio--inf", "run-tolerance-inf",
+                        "run-tolerance--inf", "fm-ratio-401-digits", "fm-c-401-digits",
+                        "cone-lambda-401-digits"}
+EDGE_EXIT_CODES = {"run-f-amplitude-1e200": 1, **dict.fromkeys(PAST_THE_FLOAT_RANGE, 2)}
 QUIET_EDGES = {"glue-eta-5e-324"}
 
 
@@ -1047,7 +1062,9 @@ QUIET_EDGES = {"glue-eta-5e-324"}
 def test_every_subcommand_ends_fast_with_one_named_outcome_at_its_schema_edges(
     tmp_path, request, command, config
 ):
-    validate(*command.split(), config)  # an edge, not past it
+    name = request.node.callspec.id
+    if name not in PAST_THE_FLOAT_RANGE:
+        validate(*command.split(), config)  # an edge, not past it
     cfg = write_config(tmp_path, config)
     started = time.perf_counter()
     with warnings.catch_warnings():
@@ -1055,10 +1072,12 @@ def test_every_subcommand_ends_fast_with_one_named_outcome_at_its_schema_edges(
         code, out, err = run_cli([*command.split(), "--config", cfg])
     assert time.perf_counter() - started <= EDGE_BUDGET_S
     assert code in (0, 1, 2, 3)
-    name = request.node.callspec.id
     assert code == EDGE_EXIT_CODES.get(name, code)
     if name in QUIET_EDGES:
         assert err == ""
+    if name in PAST_THE_FLOAT_RANGE:
+        assert re.fullmatch(r"gma: config (is not valid JSON: -?1e999|key '\w+' holds a number)"
+                            r" .*outside the float range\n", err), err
     # no traceback: every stderr line is one of the CLI's own
     assert all(line.startswith("gma: ") for line in err.splitlines()), err
     # invalid input prints nothing else; every other outcome prints its report
@@ -1082,6 +1101,28 @@ def test_huge_sources_end_with_a_named_gma_error(tmp_path, amplitude):
 # ---------------------------------------------------------------------------
 # determinism and environment handling
 # ---------------------------------------------------------------------------
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path, child_env):
+    # the pipe's read end is closed before the child starts, so its first write fails
+    cfg = write_config(tmp_path, CONE_CONFIG)
+    out_dir = tmp_path / "out"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gma.cli", "kernel", "cone", "--config", cfg,
+             "--out", str(out_dir)],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env, text=True, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 141
+    # the --out report is still written, byte for byte what stdout would have shown
+    code, out, _ = run_cli(["kernel", "cone", "--config", cfg])
+    assert code == 0 and (out_dir / "report.json").read_text() == out
+
 
 def test_cli_stdout_and_artifacts_are_deterministic(tmp_path, run_gma_cli):
     # byte-identical at one and at two BLAS threads, on a 128^2 grid whose

@@ -80,8 +80,9 @@ def test_public_names_resolve():
         module = importlib.import_module(f"gma.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
         defined = {
-            n for n, fn in inspect.getmembers(module, inspect.isfunction)
-            if fn.__module__ == module.__name__ and not n.startswith("_")
+            n for n, obj in inspect.getmembers(module)
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__ and not n.startswith("_")
         }
         assert sorted(defined - set(module.__all__)) == [], name
 

@@ -491,7 +491,7 @@ def test_uniform_cone_jensen_stability():
     assert report.verdict == "no violation found in checked range"
     assert len(report.rows) == 9
     for row in report.rows:
-        assert row["min_margin"] >= 0.3 - 1e-10
+        assert row.min_margin >= 0.3 - 1e-10
 
 
 def test_uniform_cone_trivial_when_no_lower_terms():
@@ -586,8 +586,8 @@ def test_uniform_cone_off_the_positive_cone():
     phi = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 8.0 / PI2, "wave": (1, 0)}])
     report = check_uniform_cone(geom, coeffs, 1.0, phi, 0.0, [0.05])
     (row,) = report.rows
-    assert row["min_margin"] == -math.inf
-    assert row["argmin"] is None
+    assert row.min_margin == -math.inf
+    assert row.argmin is None
     assert report.passed is False
     assert report.verdict == "violation found"
 
@@ -643,5 +643,5 @@ def test_uniform_cone_matches_entrywise_convolution(shape, scheme, kind, mu):
     expected = _uniform_cone_rows_oracle(geom, coeffs, 1.0, field, deltas, scalings, mu)
     assert len(report.rows) == len(expected)
     for row, (margin, argmin) in zip(report.rows, expected):
-        assert row["min_margin"] == pytest.approx(margin, abs=1e-12)
-        assert row["argmin"] == argmin
+        assert row.min_margin == pytest.approx(margin, abs=1e-12)
+        assert row.argmin == argmin

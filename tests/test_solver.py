@@ -13,10 +13,11 @@ import scipy.linalg
 from kernel_oracle import operator_value
 from solver_oracle import mesh, potential_hessian
 
-from gma import solver
+from gma import exceptions, solver
 from gma.exceptions import (
     CompatibilityError,
     ConeBreachError,
+    GmaError,
     LinearSolveStallError,
     MaxIterationsError,
     StepUnderflowError,
@@ -24,6 +25,8 @@ from gma.exceptions import (
 from gma.kernel import CoefficientSet, elem_sym
 from gma.solver import (
     ClassPathReport,
+    ClassPathRow,
+    NewtonStep,
     TorusGeometry,
     class_path_probe,
     cohomology_integrals,
@@ -692,13 +695,13 @@ def test_newton_evaluates_reduced_field_once_and_eigenvalues_per_trial(monkeypat
     trace = state.newton_trace
     assert trace
     assert counts["_reduced_field"] == 1
-    assert counts["_eigvals"] == 1 + sum(entry["trials"] for entry in trace)
+    assert counts["_eigvals"] == 1 + sum(entry.trials for entry in trace)
     # the carried linearizations equal the public one at each iterate
     phi = np.zeros(geom.grid_shape)
     for lin, (dphi, *_), entry in zip(recorded["_linearization"], recorded["_newton_step"], trace):
         P = linearize(geom, coeffs, f, t, phi).p_field
         assert np.abs(lin.p_field - P).max() <= 1e-12 * np.abs(P).max()
-        phi = solver._canonical(phi + entry["step_factor"] * dphi)
+        phi = solver._canonical(phi + entry.step_factor * dphi)
     assert np.array_equal(phi, state.phi)
 
 
@@ -752,9 +755,9 @@ def test_newton_step_reuses_the_transforms_of_the_last_gmres_call(monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     state = continuity_solve(geom, coeffs, f)
     monkeypatch.undo()
-    assert [stage["t"] for stage in state.stages] == [0.0, 1.0]
+    assert [stage.t for stage in state.stages] == [0.0, 1.0]
     steps = len(state.newton_trace)
-    iterations = sum(entry["gmres_iterations"] for entry in state.newton_trace)
+    iterations = sum(entry.gmres_iterations for entry in state.newton_trace)
     assert (steps, iterations) == (4, 15)
     # the t = 0 stage is the constant background and the t = 1 stage starts
     # no attempt, so no stage transforms its field; each operator call (one
@@ -811,17 +814,17 @@ def test_newton_trace_records_trials_and_cone_rejections():
     state = newton_solve(geom, coeffs, f, 1.0)
     res_sup = np.abs(residual(geom, coeffs, f, 1.0, np.zeros(geom.grid_shape))).max()
     for entry in state.newton_trace:
-        assert type(entry["trials"]) is int and entry["trials"] > 0
-        assert type(entry["cone_rejections"]) is int and entry["cone_rejections"] >= 0
-        assert entry["cone_rejections"] < entry["trials"]
-        assert entry["step_factor"] == 0.5 ** (entry["trials"] - 1)
-        assert type(entry["gmres_iterations"]) is int
-        assert 0 < entry["gmres_iterations"] <= solver._GMRES_RESTART * solver._GMRES_MAXITER
+        assert type(entry.trials) is int and entry.trials > 0
+        assert type(entry.cone_rejections) is int and entry.cone_rejections >= 0
+        assert entry.cone_rejections < entry.trials
+        assert entry.step_factor == 0.5 ** (entry.trials - 1)
+        assert type(entry.gmres_iterations) is int
+        assert 0 < entry.gmres_iterations <= solver._GMRES_RESTART * solver._GMRES_MAXITER
         # the forcing term follows the residual the step starts from
-        assert entry["forcing"] == max(min(1e-2, res_sup), solver._GMRES_RTOL)
-        assert 0.0 <= entry["linear_residual"] <= entry["forcing"]
-        res_sup = entry["residual_sup"]
-    assert any(entry["cone_rejections"] > 0 for entry in state.newton_trace)
+        assert entry.forcing == max(min(1e-2, res_sup), solver._GMRES_RTOL)
+        assert 0.0 <= entry.linear_residual <= entry.forcing
+        res_sup = entry.residual_sup
+    assert any(entry.cone_rejections > 0 for entry in state.newton_trace)
 
 
 def _counted(operator):
@@ -979,7 +982,7 @@ def test_linear_problem_matches_closed_form():
     expected -= expected.mean()
     assert np.max(np.abs(state.phi - expected)) <= 1e-9
     assert abs(state.slack) <= 1e-12
-    assert state.stages[-1]["t"] == 1.0
+    assert state.stages[-1].t == 1.0
 
 
 def test_constant_background_path_is_exactly_trivial():
@@ -991,9 +994,9 @@ def test_constant_background_path_is_exactly_trivial():
     state = continuity_solve(geom, coeffs, np.zeros(geom.grid_shape), dt_init=0.25)
     assert np.all(state.phi == 0.0)
     assert state.slack == 0.0
-    assert [s["t"] for s in state.stages] == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert all(s["newton_iterations"] == 0 for s in state.stages)
-    assert all(s["residual_sup"] == 0.0 for s in state.stages)
+    assert [s.t for s in state.stages] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(s.newton_iterations == 0 for s in state.stages)
+    assert all(s.residual_sup == 0.0 for s in state.stages)
 
 
 def test_default_schedule_jumps_straight_to_the_endpoint():
@@ -1001,8 +1004,8 @@ def test_default_schedule_jumps_straight_to_the_endpoint():
     coeffs = CoefficientSet(2, (1.0,))
     state = continuity_solve(geom, coeffs, np.zeros(geom.grid_shape))
     assert np.all(state.phi == 0.0)
-    assert [s["t"] for s in state.stages] == [0.0, 1.0]
-    assert all(s["newton_iterations"] == 0 for s in state.stages)
+    assert [s.t for s in state.stages] == [0.0, 1.0]
+    assert all(s.newton_iterations == 0 for s in state.stages)
     assert state.integrals == cohomology_integrals(geom, coeffs, np.zeros(geom.grid_shape))
 
 
@@ -1016,7 +1019,7 @@ def test_manufactured_recovery_spectral():
     assert abs(state.slack) <= 1e-8
     assert state.residual_sup <= 1e-10
     assert state.min_cone_margin > 0.0
-    assert all(s["min_cone_margin"] > 0.0 for s in state.stages)
+    assert all(s.min_cone_margin > 0.0 for s in state.stages)
 
 
 def test_manufactured_recovery_at_256_squared():
@@ -1049,7 +1052,7 @@ def test_manufactured_recovery_where_rounding_exceeds_the_tolerance():
         warnings.simplefilter("ignore", UserWarning)
         state = continuity_solve(geom, coeffs, case.f_grid)
     assert state.integrals.c0 == pytest.approx(15000.0, rel=1e-12)
-    assert [s["t"] for s in state.stages] == [0.0, 1.0]
+    assert [s.t for s in state.stages] == [0.0, 1.0]
     assert np.max(np.abs(state.phi - case.phi_star)) <= 1e-12
     assert state.residual_sup <= 1e-13 * state.integrals.c0
 
@@ -1158,7 +1161,7 @@ def test_newton_aborts_on_poor_contraction():
     # the unscaled benchmark case converges in one stage, never aborting
     geom, coeffs, case = _bench_case(64, 1.0)
     state = continuity_solve(geom, coeffs, case.f_grid)
-    assert [s["t"] for s in state.stages] == [0.0, 1.0]
+    assert [s.t for s in state.stages] == [0.0, 1.0]
     assert np.max(np.abs(state.phi - case.phi_star)) <= 1e-8
 
 
@@ -1193,10 +1196,10 @@ def test_class_path_probe_reports_upward_closed_solvability():
     f = np.full(geom.grid_shape, ints.c0 - ints.values[1])
     with pytest.warns(UserWarning):
         report = class_path_probe(geom, coeffs, f, [0.0, 0.05, 0.5])
-    flags = [row["solvable"] for row in report.rows]
+    flags = [row.solvable for row in report.rows]
     assert flags == [False, False, True]
-    assert report.rows[0]["error"] == "StepUnderflowError"
-    assert report.rows[2]["min_cone_margin"] > 0.0
+    assert report.rows[0].error == "StepUnderflowError"
+    assert report.rows[2].min_cone_margin > 0.0
     assert report.upward_closed
 
 
@@ -1211,8 +1214,8 @@ def test_class_path_probe_raises_on_a_non_finite_class_and_keeps_source_verdicts
     # with all c_k = 0 a source that is not positive is a verdict, not a failure
     f = trig_polynomial(geom.grid_shape, 0.0, [{"amplitude": 3.0, "wave": (1, 0)}])
     report = class_path_probe(geom, CoefficientSet(2, (0.0,)), f, [0.0])
-    assert report.rows[0]["solvable"] is False
-    assert report.rows[0]["error"] == "ValueError"
+    assert report.rows[0].solvable is False
+    assert report.rows[0].error == "ValueError"
 
 
 def test_class_path_probe_checks_every_class_before_the_first_solve(monkeypatch):
@@ -1257,10 +1260,10 @@ def test_class_path_probe_keeps_the_geometry_scheme():
         geom_s = replace(geom, omega0=(1.0 + s) * geom.omega0)
         shift = cohomology_integrals(geom_s, coeffs, f).defect
         state = continuity_solve(geom_s, coeffs, f + shift)
-        assert row["shift"] == shift
-        assert row["solvable"]
-        assert row["min_cone_margin"] == state.min_cone_margin
-        assert row["residual_sup"] == state.residual_sup
+        assert row.shift == shift
+        assert row.solvable
+        assert row.min_cone_margin == state.min_cone_margin
+        assert row.residual_sup == state.residual_sup
         spectral = continuity_solve(replace(geom_s, scheme="spectral"), coeffs, f + shift)
         assert spectral.min_cone_margin != state.min_cone_margin
 
@@ -1288,6 +1291,83 @@ def test_failing_class_path_row_stops_at_the_predicted_crossing():
     assert abs(t_star - 0.8915) <= 1e-3
 
 
+def _split_attempts(attempts):
+    """The accepted attempts and the rejected ones, after checking that each
+    attempt is one or the other: accepted with the stage its Newton steps
+    reached, or rejected with the name and message of a GmaError subclass."""
+    accepted = [a for a in attempts if a.outcome == "accepted"]
+    rejected = [a for a in attempts
+                if issubclass(getattr(exceptions, a.outcome, type(None)), GmaError)]
+    assert len(accepted) + len(rejected) == len(attempts)
+    assert attempts[0].t_try == attempts[0].dt == 0.0
+    for a in attempts:
+        assert all(type(step) is NewtonStep for step in a.steps)
+        assert [step.iteration for step in a.steps] == list(range(len(a.steps)))
+    for a in accepted:
+        assert a.message == ""
+        assert a.stage.t == a.t_try and a.stage.newton_iterations == len(a.steps)
+    for a in rejected:
+        assert a.stage is None and a.message
+    return accepted, rejected
+
+
+def _path_with_attempts(geom, coeffs, f):
+    """continuity_solve with an attempt list: (state or the error raised, attempts)."""
+    attempts = []
+    try:
+        return continuity_solve(geom, coeffs, f, attempts=attempts), attempts
+    except StepUnderflowError as exc:
+        return exc, attempts
+
+
+def test_continuity_attempts_hold_every_newton_call():
+    # the benchmark's 32^2 fd class path: s = 0.2 stops at its predicted
+    # crossing, s = 0.6 and 1.0 solve; then the x6 cone-violating case
+    geom, coeffs, f = _class_path_problem(32, "fd")
+    cases = []
+    for s in (0.2, 0.6, 1.0):
+        geom_s = replace(geom, omega0=(1.0 + s) * geom.omega0)
+        cases.append((geom_s, coeffs, f + cohomology_integrals(geom_s, coeffs, f).defect))
+    geom6, coeffs6, case6 = _bench_case(64, 6.0)
+    cases.append((geom6, coeffs6, case6.f_grid))
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for geom_c, coeffs_c, f_c in cases:
+            result, attempts = _path_with_attempts(geom_c, coeffs_c, f_c)
+            accepted, rejected = _split_attempts(attempts)
+            stages = [a.stage for a in accepted]
+            if isinstance(result, StepUnderflowError):
+                # the attempts outlive the raise, the failed ones with their Newton steps
+                assert rejected and any(a.steps for a in rejected)
+                t_star = float(re.search(r"t\* = (\d\.\d+)", str(result)).group(1))
+                assert rejected[-1] is attempts[-1] and attempts[-1].t_try >= t_star
+                outcomes.append(t_star)
+            else:
+                assert result.stages == stages
+                assert result.newton_trace == list(accepted[-1].steps)
+                # the list only collects: the path without it computes the same
+                plain = continuity_solve(geom_c, coeffs_c, f_c)
+                assert plain.stages == result.stages
+                assert plain.phi.tobytes() == result.phi.tobytes()
+                outcomes.append(True)
+    assert outcomes[1:3] == [True, True]
+    assert abs(outcomes[0] - 0.8915) <= 1e-3 and outcomes[3] == 0.896006
+
+
+def test_newton_solve_keeps_its_steps_in_the_list_it_is_given():
+    geom, coeffs, case = _bench_case(64, 6.0)
+    coeffs = coeffs.with_c0(cohomology_integrals(geom, coeffs, case.f_grid).c0)
+    steps = []
+    with pytest.raises(MaxIterationsError, match=r"contraction (\d+\.\d+)") as info:
+        newton_solve(geom, coeffs, case.f_grid, 1.0, steps=steps)
+    theta = float(re.search(r"contraction (\d+\.\d+)", str(info.value)).group(1))
+    assert len(steps) >= 2
+    assert f"{steps[-1].residual_sup / steps[-2].residual_sup:.3f}" == f"{theta:.3f}"
+    with pytest.raises(ValueError, match="steps must be an empty list"):
+        newton_solve(geom, coeffs, case.f_grid, 1.0, steps=steps)
+
+
 def test_class_path_probe_solves_large_classes():
     # at s = 3000 c0 is about 1.8e6, and rounding alone keeps the stage
     # residual above 1e-10; every s > 1/3 solves in the continuum
@@ -1296,8 +1376,8 @@ def test_class_path_probe_solves_large_classes():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         report = class_path_probe(geom, coeffs, f, s_list)
-    assert [row["solvable"] for row in report.rows] == [False] + [True] * 6
-    assert report.rows[0]["error"] == "StepUnderflowError"
+    assert [row.solvable for row in report.rows] == [False] + [True] * 6
+    assert report.rows[0].error == "StepUnderflowError"
     assert report.upward_closed
 
 
@@ -1310,7 +1390,7 @@ def _class_path_threshold(nx, scheme, phase=0.0):
         warnings.simplefilter("ignore", UserWarning)
         for _ in range(14):
             mid = 0.5 * (lo + hi)
-            if class_path_probe(geom, coeffs, f, [mid]).rows[0]["solvable"]:
+            if class_path_probe(geom, coeffs, f, [mid]).rows[0].solvable:
                 hi = mid
             else:
                 lo = mid
@@ -1339,7 +1419,7 @@ def test_class_path_threshold_off_grid_converges_to_the_continuum_value(scheme):
 
 def test_upward_closure_property_detects_violations():
     rows = (
-        {"s": 0.0, "solvable": True},
-        {"s": 1.0, "solvable": False},
+        ClassPathRow(0.0, 0.0, True, 1.0, 0.0, None),
+        ClassPathRow(1.0, 0.0, False, None, None, "StepUnderflowError"),
     )
     assert not ClassPathReport(rows).upward_closed
